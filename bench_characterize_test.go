@@ -1,10 +1,9 @@
 // Characterization-scaling benchmarks (PR 3): BenchmarkCharacterize times
 // the full figure suite (core.Characterize, Figs. 3-17) at 10k/100k-job
-// scale. `make bench` runs this next to the PR 2 scheduler trio and emits
-// BENCH_PR3.json (via cmd/benchjson) with a speedup column against the
-// committed pre-columnar baseline, so the shared-column index and the
-// parallel figure fan-out carry a measured claim rather than an asserted
-// one.
+// scale. BENCH_PR3.json records it next to the PR 2 scheduler trio with a
+// speedup column against the committed pre-columnar baseline, so the
+// shared-column index and the parallel figure fan-out carry a measured
+// claim rather than an asserted one.
 package repro
 
 import (
@@ -69,7 +68,7 @@ func BenchmarkCharacterize(b *testing.B) {
 					Series:       ds.Series,
 					DurationDays: ds.DurationDays,
 				}
-				if rep = core.Characterize(fresh); rep == nil {
+				if rep = core.Characterize(fresh.Columns(), 0); rep == nil {
 					b.Fatal("nil report")
 				}
 			}

@@ -6,8 +6,8 @@
 // crash-safe production default), and a mem baseline (decode + raw SegStore
 // append, no WAL, no ledger). The acceptance bar is wal=off within 1.5x of
 // mem; wal=sync reports absolute numbers — it is priced by the disk, not
-// the code. `make bench-pr9` joins the re-run streaming rows against
-// bench/baseline_pr8.json (regression guard) and emits BENCH_PR9.json.
+// the code. BENCH_PR9.json records these with the re-run streaming rows
+// joined against bench/baseline_pr8.json (regression guard).
 package repro
 
 import (

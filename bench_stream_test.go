@@ -5,9 +5,9 @@
 // pays one tail sort plus a two-way merge. BenchmarkStreamingIngestRebuild
 // is the same workload on the pre-PR8 path: each batch appends into a
 // Dataset and invalidates the columnar memo, so every query rebuilds and
-// re-sorts from scratch. `make bench-pr8` joins the segmented rows against
-// the committed rebuild baseline (bench/baseline_pr8.json) into
-// BENCH_PR8.json; the acceptance bar is ≥10x at jobs=100k.
+// re-sorts from scratch. BENCH_PR8.json records the segmented rows joined
+// against the committed rebuild baseline (bench/baseline_pr8.json); the
+// acceptance bar was ≥10x at jobs=100k.
 package repro
 
 import (
@@ -56,7 +56,7 @@ func BenchmarkStreamingIngest(b *testing.B) {
 						hi = len(ds.Jobs)
 					}
 					st.AppendBatch(ds.Jobs[lo:hi])
-					fp += streamQueryFingerprint(core.WaitsSeg(st.Snapshot(), 1))
+					fp += streamQueryFingerprint(core.Waits(st.Snapshot().Cols))
 				}
 			}
 			b.ReportMetric(fp, "query-fingerprint")
@@ -68,8 +68,7 @@ func BenchmarkStreamingIngest(b *testing.B) {
 // BenchmarkStreamingIngestSegSweep sweeps the tail seal threshold at the
 // 100k point — the segment-size sensitivity study in EXPERIMENTS.md. Small
 // segments seal (and cascade-merge) often; huge segments degenerate toward
-// sorting the whole store on every query. Not part of bench-pr8; run it by
-// name.
+// sorting the whole store on every query. Run it by name.
 func BenchmarkStreamingIngestSegSweep(b *testing.B) {
 	ds := charDataset(b, 100_000)
 	for _, segJobs := range []int{512, 2048, 4096, 16384, 65536} {
@@ -84,7 +83,7 @@ func BenchmarkStreamingIngestSegSweep(b *testing.B) {
 						hi = len(ds.Jobs)
 					}
 					st.AppendBatch(ds.Jobs[lo:hi])
-					fp += streamQueryFingerprint(core.WaitsSeg(st.Snapshot(), 1))
+					fp += streamQueryFingerprint(core.Waits(st.Snapshot().Cols))
 				}
 			}
 			b.ReportMetric(fp, "query-fingerprint")
@@ -114,7 +113,7 @@ func BenchmarkStreamingIngestRebuild(b *testing.B) {
 					for k := lo; k < hi; k++ {
 						acc.Add(ds.Jobs[k])
 					}
-					fp += streamQueryFingerprint(core.WaitsCols(acc.Columns()))
+					fp += streamQueryFingerprint(core.Waits(acc.Columns()))
 				}
 			}
 			b.ReportMetric(fp, "query-fingerprint")

@@ -46,7 +46,7 @@ func main() {
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
 	if *markdown {
-		rep := core.Characterize(ds)
+		rep := core.Characterize(ds.Columns(), 0)
 		if err := report.RenderMarkdownComparison(w, rep); err != nil {
 			log.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Fprintln(w)
-	rep := core.Characterize(ds)
+	rep := core.Characterize(ds.Columns(), 0)
 	if err := report.RenderReport(w, rep); err != nil {
 		log.Fatal(err)
 	}

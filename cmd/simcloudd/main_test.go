@@ -130,7 +130,7 @@ func TestServerIngestQuery(t *testing.T) {
 
 	// The rendered figures must match the batch pipeline over the same jobs.
 	var wantText bytes.Buffer
-	if err := report.RenderReport(&wantText, core.Characterize(ds)); err != nil {
+	if err := report.RenderReport(&wantText, core.Characterize(ds.Columns(), 0)); err != nil {
 		t.Fatal(err)
 	}
 	if body := figuresBody(t, ts.URL); body != wantText.String() {

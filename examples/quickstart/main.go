@@ -29,7 +29,7 @@ func main() {
 		len(ds.Jobs), len(ds.Users()), len(ds.GPUJobs()))
 
 	// 2. Run the full characterization.
-	rep := core.Characterize(ds)
+	rep := core.Characterize(ds.Columns(), 0)
 
 	// 3. Compare the headlines against the paper.
 	row := func(name string, got float64, paper string) {

@@ -108,7 +108,7 @@ func TestPaperTargetsOnGeneratedDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Characterize(g.BuildDataset(g.GenerateSpecs()))
+	rep := Characterize(g.BuildDataset(g.GenerateSpecs()).Columns(), 0)
 	comps := ComparePaper(rep)
 	inBand := 0
 	for _, c := range comps {

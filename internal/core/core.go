@@ -5,13 +5,15 @@
 // quantities the paper reports, so EXPERIMENTS.md can be generated by
 // diffing fields against the published numbers.
 //
-// The entry point is Characterize, which builds the dataset's columnar
-// projection (trace.Columns) once and fans the independent figures across a
-// bounded worker pool; individual analyses are exported for callers that
-// need a single figure, in two forms: Xxx(ds) walking the dataset, and
-// XxxCols(c) consuming an already-built column index. The pre-columnar
-// row-walking implementations are preserved in naive.go as the executable
-// specification both paths are tested against.
+// Every figure is one function of the dataset's columnar projection,
+// Xxx(c *trace.Columns): pass ds.Columns() for a batch dataset or a
+// trace.SegView's Cols for a streaming snapshot. Characterize fans the
+// independent figures across a bounded worker pool; CharacterizeSeg first
+// fans a snapshot's per-segment sorts across the same pool. Arrivals is the
+// one exception, taking the Dataset because it needs every job's submit
+// time. The pre-columnar row-walking implementations are preserved in
+// naive.go as the executable specification the columnar figures are tested
+// against.
 package core
 
 import (
@@ -42,19 +44,6 @@ type Report struct {
 	UserMix       UserMixResult           // Fig. 17
 	Concentration ConcentrationResult     // §IV text
 	HostCPUUse    HostCPUResult           // §III co-location rationale
-}
-
-// Characterize runs the complete suite over ds, using every available CPU.
-// The result is bit-identical for any worker count, including the serial
-// row-walking implementation (see naive_equiv_test.go).
-func Characterize(ds *trace.Dataset) *Report {
-	return CharacterizeParallel(ds, 0)
-}
-
-// CharacterizeParallel runs the complete suite over ds with the given number
-// of figure workers (0 means GOMAXPROCS).
-func CharacterizeParallel(ds *trace.Dataset, workers int) *Report {
-	return CharacterizeCols(ds.Columns(), workers)
 }
 
 // CDFStat summarizes one empirical distribution as the paper reports them:

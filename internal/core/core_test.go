@@ -26,7 +26,7 @@ func testReport(t *testing.T) (*trace.Dataset, *Report) {
 		}
 		specs := g.GenerateSpecs()
 		reportCache.ds = g.BuildDataset(specs)
-		reportCache.rep = Characterize(reportCache.ds)
+		reportCache.rep = Characterize(reportCache.ds.Columns(), 0)
 	}
 	return reportCache.ds, reportCache.rep
 }
@@ -317,21 +317,19 @@ func TestSegmentSeries(t *testing.T) {
 	}
 }
 
+// TestSizeClass pins the label of every §V class trace.SizeClass yields.
 func TestSizeClass(t *testing.T) {
-	cases := map[int]int{1: 0, 2: 1, 3: 2, 8: 2, 9: 3, 32: 3}
+	cases := map[int]string{1: "1 GPU", 2: "2 GPUs", 3: "3-8 GPUs", 8: "3-8 GPUs", 9: ">8 GPUs", 32: ">8 GPUs"}
 	for g, want := range cases {
-		if got := SizeClass(g); got != want {
-			t.Errorf("SizeClass(%d) = %d, want %d", g, got, want)
+		if got := SizeClassLabel(trace.SizeClass(g)); got != want {
+			t.Errorf("SizeClassLabel(trace.SizeClass(%d)) = %q, want %q", g, got, want)
 		}
-	}
-	if SizeClassLabel(0) != "1 GPU" || SizeClassLabel(3) != ">8 GPUs" {
-		t.Error("size class labels wrong")
 	}
 }
 
 func TestEmptyDataset(t *testing.T) {
 	ds := trace.NewDataset(1)
-	rep := Characterize(ds)
+	rep := Characterize(ds.Columns(), 0)
 	if rep.GPUCounts.SingleGPUFrac != 0 {
 		t.Error("empty dataset should produce zero fractions")
 	}

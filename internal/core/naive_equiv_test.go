@@ -43,7 +43,7 @@ func diffReports(t *testing.T, label string, want, got *Report) {
 func TestColumnarMatchesNaive(t *testing.T) {
 	ds := equivDataset(t)
 	want := naiveCharacterize(ds)
-	diffReports(t, "columnar vs naive", want, Characterize(ds))
+	diffReports(t, "columnar vs naive", want, Characterize(ds.Columns(), 0))
 }
 
 // TestColumnarFigureWrappers checks each exported per-figure entry point
@@ -58,36 +58,35 @@ func TestColumnarFigureWrappers(t *testing.T) {
 			t.Errorf("%s differs\n want %.400s\n  got %.400s", name, ws, gs)
 		}
 	}
-	check("Runtimes", naiveRuntimes(ds), Runtimes(ds))
-	check("Waits", naiveWaits(ds), Waits(ds))
-	check("Utilization", naiveUtilization(ds), Utilization(ds))
-	check("PCIe", naivePCIe(ds), PCIe(ds))
-	check("ByInterface", naiveByInterface(ds), ByInterface(ds))
-	check("Phases", naivePhases(ds), Phases(ds))
-	check("ActiveVariability", naiveActiveVariability(ds), ActiveVariability(ds))
-	check("Bottlenecks", naiveBottlenecks(ds), Bottlenecks(ds))
-	check("Power", naivePower(ds), Power(ds))
-	check("GPUCounts", naiveGPUCounts(ds), GPUCounts(ds))
-	check("MultiGPU", naiveMultiGPU(ds), MultiGPU(ds))
-	check("Lifecycle", naiveLifecycle(ds), Lifecycle(ds))
-	check("UserMix", naiveUserMix(ds), UserMix(ds))
-	check("Concentration", naiveConcentration(ds), Concentration(ds))
-	check("HostCPU", naiveHostCPU(ds), HostCPU(ds))
-	check("AggregateUsers", naiveAggregateUsers(ds), AggregateUsers(ds))
+	check("Runtimes", naiveRuntimes(ds), Runtimes(ds.Columns()))
+	check("Waits", naiveWaits(ds), Waits(ds.Columns()))
+	check("Utilization", naiveUtilization(ds), Utilization(ds.Columns()))
+	check("PCIe", naivePCIe(ds), PCIe(ds.Columns()))
+	check("ByInterface", naiveByInterface(ds), ByInterface(ds.Columns()))
+	check("Phases", naivePhases(ds), Phases(ds.Columns()))
+	check("ActiveVariability", naiveActiveVariability(ds), ActiveVariability(ds.Columns()))
+	check("Bottlenecks", naiveBottlenecks(ds), Bottlenecks(ds.Columns()))
+	check("Power", naivePower(ds), Power(ds.Columns()))
+	check("GPUCounts", naiveGPUCounts(ds), GPUCounts(ds.Columns()))
+	check("MultiGPU", naiveMultiGPU(ds), MultiGPU(ds.Columns()))
+	check("Lifecycle", naiveLifecycle(ds), Lifecycle(ds.Columns()))
+	check("UserMix", naiveUserMix(ds), UserMix(ds.Columns()))
+	check("Concentration", naiveConcentration(ds), Concentration(ds.Columns()))
+	check("HostCPU", naiveHostCPU(ds), HostCPU(ds.Columns()))
+	check("AggregateUsers", naiveAggregateUsers(ds), AggregateUsers(ds.Columns()))
 }
 
 // TestParallelWorkerEquivalence checks that Characterize is bit-identical
 // for any worker count: the serial path and pools of 2 and 8 workers must
-// assemble the same Report. The race-analyze make target runs this under
-// the race detector.
+// assemble the same Report. `make race` runs this under the race detector.
 func TestParallelWorkerEquivalence(t *testing.T) {
 	ds := equivDataset(t)
-	want := CharacterizeParallel(ds, 1)
+	want := Characterize(ds.Columns(), 1)
 	for _, workers := range []int{2, 8} {
 		diffReports(t, fmt.Sprintf("workers=%d vs serial", workers), want,
-			CharacterizeParallel(ds, workers))
+			Characterize(ds.Columns(), workers))
 	}
-	diffReports(t, "workers=default vs serial", want, Characterize(ds))
+	diffReports(t, "workers=default vs serial", want, Characterize(ds.Columns(), 0))
 }
 
 // TestRunTasksPanic pins the pool's failure contract: a panicking task does

@@ -60,7 +60,7 @@ func TestCharacterizeInvariantsProperty(t *testing.T) {
 		if err := ds.Validate(); err != nil {
 			return false
 		}
-		rep := Characterize(ds)
+		rep := Characterize(ds.Columns(), 0)
 
 		// CDF curves are monotone in both coordinates with F in [0, 1].
 		for _, c := range []CDFStat{
@@ -125,7 +125,7 @@ func TestCharacterizeInvariantsProperty(t *testing.T) {
 func TestBottleneckConsistencyProperty(t *testing.T) {
 	f := func(raw []byte) bool {
 		ds := randomDataset(raw)
-		r := Bottlenecks(ds)
+		r := Bottlenecks(ds.Columns())
 		for _, v := range r.SingleFrac {
 			if v < 0 || v > 1 {
 				return false

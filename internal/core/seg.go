@@ -6,18 +6,18 @@ import (
 	"repro/internal/trace"
 )
 
-// Segmented (streaming) figure entry points. A trace.SegView snapshot
+// Segmented (streaming) characterization. A trace.SegView snapshot
 // stitches per-segment columns into a Columns whose dataset-order vectors
-// are the exact sequences BuildColumns would produce, so every *Cols figure
-// already folds bit-identical results over it. What the *Seg variants add
-// is WHERE the heavy lifting happens: the snapshot's per-segment sorted
-// runs are the partial results, and segPrepare fans their materialization
-// across the bounded worker pool before the figure folds them — merged in
-// segment-index order inside the column, so the answer is bit-identical at
-// any worker count (the per-segment sorts are independent; only the fold
-// order is pinned). Re-running a *Seg figure after more appends costs one
-// tail sort plus the merge: the sealed partials are cached in the segments
-// and never recomputed.
+// are the exact sequences BuildColumns would produce, so every figure
+// already folds bit-identical results over v.Cols. What CharacterizeSeg
+// adds is WHERE the heavy lifting happens: the snapshot's per-segment
+// sorted runs are the partial results, and segPrepare fans their
+// materialization across the bounded worker pool before the figures fold
+// them — merged in segment-index order inside the column, so the answer is
+// bit-identical at any worker count (the per-segment sorts are independent;
+// only the fold order is pinned). Re-running a query after more appends
+// costs one tail sort plus the merge: the sealed partials are cached in the
+// segments and never recomputed.
 
 // segPrepare materializes the view's per-segment sorted runs across
 // workers goroutines (0 means GOMAXPROCS). Idempotent: runs already
@@ -44,34 +44,5 @@ func segPrepare(v *trace.SegView, workers int) {
 // history, or worker count.
 func CharacterizeSeg(v *trace.SegView, workers int) *Report {
 	segPrepare(v, workers)
-	return CharacterizeCols(v.Cols, workers)
-}
-
-// RuntimesSeg is the streaming form of RuntimesCols.
-func RuntimesSeg(v *trace.SegView, workers int) RuntimeResult {
-	segPrepare(v, workers)
-	return RuntimesCols(v.Cols)
-}
-
-// WaitsSeg is the streaming form of WaitsCols.
-func WaitsSeg(v *trace.SegView, workers int) WaitResult {
-	segPrepare(v, workers)
-	return WaitsCols(v.Cols)
-}
-
-// UtilizationSeg is the streaming form of UtilizationCols.
-func UtilizationSeg(v *trace.SegView, workers int) UtilizationResult {
-	segPrepare(v, workers)
-	return UtilizationCols(v.Cols)
-}
-
-// StreamQuery answers one live figure query against a store: snapshot (O(1)
-// when nothing changed since the last query), fan the uncached segment
-// partials, fold. This is simcloudd's query path and the benchmarked
-// incremental hot path — between appends it degenerates to a memoized
-// snapshot plus already-cached sorted runs.
-func StreamQuery[T any](st *trace.SegStore, workers int, fig func(*trace.Columns) T) T {
-	v := st.Snapshot()
-	segPrepare(v, workers)
-	return fig(v.Cols)
+	return Characterize(v.Cols, workers)
 }

@@ -22,7 +22,7 @@ func segStoreFrom(ds *trace.Dataset, cfg trace.SegConfig) *trace.SegStore {
 // stores.
 func TestCharacterizeSegMatchesBatch(t *testing.T) {
 	ds := equivDataset(t)
-	want := Characterize(ds)
+	want := Characterize(ds.Columns(), 0)
 	for _, cfg := range []trace.SegConfig{
 		{SegmentJobs: 1 << 20}, // tail only, never seals
 		{SegmentJobs: 37},
@@ -64,28 +64,7 @@ func TestCharacterizeSegRandomSchedules(t *testing.T) {
 			}
 			prefix := &trace.Dataset{Jobs: full.Jobs[:i], DurationDays: full.DurationDays}
 			label := fmt.Sprintf("trial=%d/jobs=%d", trial, i)
-			diffReports(t, label, Characterize(prefix), CharacterizeSeg(st.Snapshot(), 1+rng.Intn(4)))
+			diffReports(t, label, Characterize(prefix.Columns(), 0), CharacterizeSeg(st.Snapshot(), 1+rng.Intn(4)))
 		}
 	}
-}
-
-// TestSegFigureWrappers checks the per-figure streaming wrappers and the
-// generic StreamQuery path against their batch counterparts.
-func TestSegFigureWrappers(t *testing.T) {
-	ds := equivDataset(t)
-	c := ds.Columns()
-	st := segStoreFrom(ds, trace.SegConfig{SegmentJobs: 101})
-	v := st.Snapshot()
-	check := func(name string, want, got any) {
-		t.Helper()
-		ws, gs := fmt.Sprintf("%v", want), fmt.Sprintf("%v", got)
-		if ws != gs {
-			t.Errorf("%s differs\n want %.400s\n  got %.400s", name, ws, gs)
-		}
-	}
-	check("Runtimes", RuntimesCols(c), RuntimesSeg(v, 3))
-	check("Waits", WaitsCols(c), WaitsSeg(v, 3))
-	check("Utilization", UtilizationCols(c), UtilizationSeg(v, 3))
-	check("StreamQuery/Power", PowerCols(c), StreamQuery(st, 2, PowerCols))
-	check("StreamQuery/Lifecycle", LifecycleCols(c), StreamQuery(st, 2, LifecycleCols))
 }

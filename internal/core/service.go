@@ -10,11 +10,8 @@ type RuntimeResult struct {
 	CPU CDFStat
 }
 
-// Runtimes computes Fig. 3a.
-func Runtimes(ds *trace.Dataset) RuntimeResult { return RuntimesCols(ds.Columns()) }
-
-// RuntimesCols computes Fig. 3a from the shared columnar index.
-func RuntimesCols(c *trace.Columns) RuntimeResult {
+// Runtimes computes Fig. 3a from the shared columnar index.
+func Runtimes(c *trace.Columns) RuntimeResult {
 	return RuntimeResult{
 		GPU: colCDF(c.RunMin),
 		CPU: colCDF(c.CPURunMin),
@@ -36,21 +33,16 @@ type WaitResult struct {
 	MedianWaitBySize [4]float64
 }
 
-// SizeClass maps a GPU count onto §V's four size classes.
-func SizeClass(numGPUs int) int { return trace.SizeClass(numGPUs) }
-
 // SizeClassLabel names a §V size class.
 func SizeClassLabel(class int) string {
 	return [...]string{"1 GPU", "2 GPUs", "3-8 GPUs", ">8 GPUs"}[class]
 }
 
-// Waits computes Fig. 3b and the §V wait-by-size medians.
-func Waits(ds *trace.Dataset) WaitResult { return WaitsCols(ds.Columns()) }
-
-// WaitsCols computes Fig. 3b from the shared wait columns: the threshold
-// fractions become binary searches over the cached sorted views (counts, and
-// hence the divisions, match the row scan exactly).
-func WaitsCols(c *trace.Columns) WaitResult {
+// Waits computes Fig. 3b and the §V wait-by-size medians from the shared
+// wait columns: the threshold fractions become binary searches over the
+// cached sorted views (counts, and hence the divisions, match the row scan
+// exactly).
+func Waits(c *trace.Columns) WaitResult {
 	var r WaitResult
 	r.GPUWaitPct = colCDF(c.WaitPct)
 	r.CPUWaitPct = colCDF(c.CPUWaitPct)

@@ -21,13 +21,9 @@ type UserStats struct {
 }
 
 // AggregateUsers computes per-user statistics over the GPU-job population,
-// sorted by user index.
-func AggregateUsers(ds *trace.Dataset) []UserStats { return AggregateUsersCols(ds.Columns()) }
-
-// AggregateUsersCols computes per-user statistics by gathering the run-time
-// and utilization columns through the per-user row index, reusing scratch
-// vectors across users.
-func AggregateUsersCols(c *trace.Columns) []UserStats {
+// sorted by user index, by gathering the run-time and utilization columns
+// through the per-user row index, reusing scratch vectors across users.
+func AggregateUsers(c *trace.Columns) []UserStats {
 	out := make([]UserStats, 0, len(c.Users))
 	hourVals := c.GPUHours.Values()
 	runVals := c.RunMin.Values()
@@ -193,13 +189,10 @@ type ConcentrationResult struct {
 	UsersWith9Frac     float64
 }
 
-// Concentration computes the §IV/§V user-population statistics.
-func Concentration(ds *trace.Dataset) ConcentrationResult { return ConcentrationCols(ds.Columns()) }
-
-// ConcentrationCols computes the §IV/§V statistics from the per-user row
+// Concentration computes the §IV/§V statistics from the per-user row
 // index; every output is either sorted internally or an order-independent
 // count, so iterating users in ascending order changes nothing.
-func ConcentrationCols(c *trace.Columns) ConcentrationResult {
+func Concentration(c *trace.Columns) ConcentrationResult {
 	counts := make([]float64, 0, len(c.Users))
 	var m2, m3, m9 float64
 	for _, u := range c.Users {

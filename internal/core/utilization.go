@@ -18,12 +18,9 @@ type UtilizationResult struct {
 	NearZeroSMFrac float64
 }
 
-// Utilization computes Fig. 4a over the GPU-job population.
-func Utilization(ds *trace.Dataset) UtilizationResult { return UtilizationCols(ds.Columns()) }
-
-// UtilizationCols computes Fig. 4a from the shared mean-utilization columns:
+// Utilization computes Fig. 4a from the shared mean-utilization columns:
 // one cached sort per metric serves the CDF and all threshold fractions.
-func UtilizationCols(c *trace.Columns) UtilizationResult {
+func Utilization(c *trace.Columns) UtilizationResult {
 	sm := c.Mean[metrics.SMUtil].Sorted()
 	mem := c.Mean[metrics.MemUtil].Sorted()
 	msz := c.Mean[metrics.MemSize].Sorted()
@@ -46,12 +43,9 @@ type PCIeResult struct {
 	TxUniformKS, RxUniformKS float64
 }
 
-// PCIe computes Fig. 4b.
-func PCIe(ds *trace.Dataset) PCIeResult { return PCIeCols(ds.Columns()) }
-
-// PCIeCols computes Fig. 4b from the shared PCIe columns: one ECDF per
+// PCIe computes Fig. 4b from the shared PCIe columns: one ECDF per
 // direction serves both the curve digest and the KS distance.
-func PCIeCols(c *trace.Columns) PCIeResult {
+func PCIe(c *trace.Columns) PCIeResult {
 	txE := stats.NewECDFSorted(c.Mean[metrics.PCIeTx].Sorted())
 	rxE := stats.NewECDFSorted(c.Mean[metrics.PCIeRx].Sorted())
 	return PCIeResult{
@@ -73,12 +67,9 @@ type InterfaceResult struct {
 	Mem [trace.NumInterfaces]CDFStat
 }
 
-// ByInterface computes Fig. 5.
-func ByInterface(ds *trace.Dataset) InterfaceResult { return ByInterfaceCols(ds.Columns()) }
-
-// ByInterfaceCols computes Fig. 5 by gathering the mean-utilization columns
+// ByInterface computes Fig. 5 by gathering the mean-utilization columns
 // through the per-interface row index.
-func ByInterfaceCols(c *trace.Columns) InterfaceResult {
+func ByInterface(c *trace.Columns) InterfaceResult {
 	var r InterfaceResult
 	total := len(c.GPU)
 	for iface := range c.ByIface {
@@ -99,12 +90,10 @@ type PowerResult struct {
 	TDPWatts float64
 }
 
-// Power computes Fig. 9a. The TDP reported is the maximum observed device
-// capability; with a single-GPU-model fleet it is the V100's 300 W.
-func Power(ds *trace.Dataset) PowerResult { return PowerCols(ds.Columns()) }
-
-// PowerCols computes Fig. 9a from the power columns.
-func PowerCols(c *trace.Columns) PowerResult {
+// Power computes Fig. 9a from the power columns. The TDP reported is the
+// maximum observed device capability; with a single-GPU-model fleet it is
+// the V100's 300 W.
+func Power(c *trace.Columns) PowerResult {
 	return PowerResult{
 		Avg:      colCDF(c.Mean[metrics.Power]),
 		Max:      colCDF(c.Max[metrics.Power]),
@@ -127,12 +116,9 @@ type GPUCountResult struct {
 	MultiGPUHourShare float64
 }
 
-// GPUCounts computes Fig. 13.
-func GPUCounts(ds *trace.Dataset) GPUCountResult { return GPUCountsCols(ds.Columns()) }
-
-// GPUCountsCols computes Fig. 13 from the GPU-count and GPU-hour columns,
+// GPUCounts computes Fig. 13 from the GPU-count and GPU-hour columns,
 // accumulating in dataset order so the hour shares match the row scan.
-func GPUCountsCols(c *trace.Columns) GPUCountResult {
+func GPUCounts(c *trace.Columns) GPUCountResult {
 	r := GPUCountResult{FracByCount: map[int]float64{}}
 	if len(c.GPU) == 0 {
 		return r
@@ -197,12 +183,9 @@ var multiGPUMetrics = [3]metrics.Metric{metrics.SMUtil, metrics.MemUtil, metrics
 // whole job ("average utilization of close to zero for all resources").
 const idleGPUMeanSM = 1.0
 
-// MultiGPU computes Fig. 14 from per-GPU summaries.
-func MultiGPU(ds *trace.Dataset) MultiGPUResult { return MultiGPUCols(ds.Columns()) }
-
-// MultiGPUCols computes Fig. 14 over the pre-filtered multi-GPU population,
+// MultiGPU computes Fig. 14 over the pre-filtered multi-GPU population,
 // reusing two scratch vectors across jobs instead of allocating per metric.
-func MultiGPUCols(c *trace.Columns) MultiGPUResult {
+func MultiGPU(c *trace.Columns) MultiGPUResult {
 	var r MultiGPUResult
 	jobs := c.Multi
 	var all, active [3][]float64

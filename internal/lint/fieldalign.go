@@ -15,8 +15,8 @@ import (
 // It is NOT in the default set: field order is an API in two ways this
 // repository cares about — encoding/json emits object keys in declaration
 // order, so reordering a marshalled struct (trace.JobRecord, the jsonDataset
-// wire form, benchjson rows) changes codec output bytes; and several structs
-// order fields for readability grouped by meaning rather than size. Run it
+// wire form) changes codec output bytes; and several structs order fields
+// for readability grouped by meaning rather than size. Run it
 // deliberately with
 //
 //	go run ./cmd/simlint -only fieldalign ./...

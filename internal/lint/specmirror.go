@@ -18,9 +18,8 @@ import (
 //
 //  1. It has a matching optimized counterpart in the same package: a
 //     function or method whose name is the spec name with the `naive`
-//     prefix stripped (first-letter case-insensitive, optional `Cols`
-//     suffix for the columnar variants) — or, when the optimized path has a
-//     different shape, one named explicitly in the spec's doc comment with
+//     prefix stripped (first-letter case-insensitive) — or, when the
+//     optimized path has a different shape, one named explicitly in the spec's doc comment with
 //     a `Mirrors: <name>` line. A spec with no counterpart is dead weight
 //     that will silently drift from the code it is supposed to check.
 //  2. The named counterpart actually exists (a stale `Mirrors:` line is an
@@ -122,12 +121,12 @@ func counterpartName(name string, declared map[string]bool) (string, bool) {
 	stripped := name[naivePrefixLen:]
 	lower := lowerFirst(stripped)
 	upper := upperFirst(stripped)
-	for _, cand := range []string{upper, lower, upper + "Cols", lower + "Cols"} {
+	for _, cand := range []string{upper, lower} {
 		if declared[cand] {
 			return cand, true
 		}
 	}
-	return upper + " (or " + lower + ", " + upper + "Cols)", false
+	return upper + " (or " + lower + ")", false
 }
 
 func lowerFirst(s string) string {

@@ -27,3 +27,7 @@ func Loose(xs []int) int {
 	}
 	return n
 }
+
+// FooCols only looks like naiveFoo's counterpart: the analyzer matches the
+// spec name without the prefix, not with a suffix added.
+func FooCols(xs []int) int { return len(xs) }

@@ -2,8 +2,8 @@ package specmirror
 
 import "testing"
 
-// TestEquivalence anchors naiveSum, naiveScale, naiveOrphan, and naiveGhost
-// (the latter two still fail the counterpart checks). naiveLoose is
+// TestEquivalence anchors naiveSum, naiveScale, naiveOrphan, naiveFoo and
+// naiveGhost (the latter three still fail the counterpart checks). naiveLoose is
 // deliberately absent.
 func TestEquivalence(t *testing.T) {
 	xs := []int{3, 1, 2}
@@ -17,5 +17,7 @@ func TestEquivalence(t *testing.T) {
 		}
 	}
 	_ = naiveOrphan(xs)
+	_ = naiveFoo(xs)
+	_ = FooCols(xs)
 	_ = naiveGhost(xs)
 }

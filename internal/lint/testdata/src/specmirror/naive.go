@@ -23,11 +23,17 @@ func naiveScale(xs []int, k int) []int {
 }
 
 // naiveOrphan has no optimized counterpart anywhere in the package.
-func naiveOrphan(xs []int) int { // want `spec naiveOrphan has no optimized counterpart Orphan \(or orphan, OrphanCols\) in this package`
+func naiveOrphan(xs []int) int { // want `spec naiveOrphan has no optimized counterpart Orphan \(or orphan\) in this package`
 	if len(xs) == 0 {
 		return 0
 	}
 	return xs[0]
+}
+
+// naiveFoo's only candidate is FooCols: a suffixed name is not a
+// counterpart, so a spec must mirror the unsuffixed name or say Mirrors.
+func naiveFoo(xs []int) int { // want `spec naiveFoo has no optimized counterpart Foo \(or foo\) in this package`
+	return len(xs)
 }
 
 // naiveGhost points its Mirrors directive at a function that is gone.

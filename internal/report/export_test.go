@@ -18,7 +18,7 @@ func TestExportCSVDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := g.BuildDataset(g.GenerateSpecs())
-	rep := core.Characterize(ds)
+	rep := core.Characterize(ds.Columns(), 0)
 
 	dir := t.TempDir()
 	if err := ExportCSVDir(dir, rep); err != nil {

@@ -27,7 +27,7 @@ func testReportData(t *testing.T) (*trace.Dataset, *core.Report) {
 			t.Fatal(err)
 		}
 		renderedCache.ds = g.BuildDataset(g.GenerateSpecs())
-		renderedCache.rep = core.Characterize(renderedCache.ds)
+		renderedCache.rep = core.Characterize(renderedCache.ds.Columns(), 0)
 	}
 	return renderedCache.ds, renderedCache.rep
 }

@@ -11,7 +11,7 @@ package slurm
 // sequence number, so the order `event.before` defines is total, and any
 // correct priority queue — this one, the heap spec in naive.go — pops the
 // exact same sequence. The differential harness (differential_test.go) and
-// the fuzz target (FuzzCalQueue) prove that equivalence; Config.AuditEvents
+// the fuzz target (FuzzCalQueue) prove that equivalence; Config.auditEvents
 // re-checks it pop-by-pop at runtime.
 //
 // Geometry: nbuckets is a power of two near half the event count (about two

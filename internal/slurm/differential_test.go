@@ -176,7 +176,7 @@ func TestDifferentialHeapVsCalendar(t *testing.T) {
 			specs, _ = Feasible(cfg, specs)
 
 			specCfg := cfg
-			specCfg.SpecEventQueue = true
+			specCfg.specEventQueue = true
 			specRes, specSt, specJSON := runQueue(t, specCfg, specs)
 			calRes, calSt, calJSON := runQueue(t, cfg, specs)
 
@@ -205,7 +205,7 @@ func TestAuditEventsRunsClean(t *testing.T) {
 	cfg.Cluster.Nodes = c.nodes
 	cfg.Faults = c.plan
 	cfg.FaultSeed = c.seed
-	cfg.AuditEvents = true
+	cfg.auditEvents = true
 	specs := diffPopulation(t, c)
 	specs, _ = Feasible(cfg, specs)
 	if _, st, err := Simulate(cfg, specs); err != nil {
@@ -256,7 +256,7 @@ func TestOutageAtFinishInstantOrdersIdentically(t *testing.T) {
 	cfg.Cluster.Nodes = 4
 	cfg.Faults = faults.Plan{NodeCrashMTBFHours: 100, MeanRepairHours: 1}
 	cfg.FaultSeed = 3
-	cfg.AuditEvents = true
+	cfg.auditEvents = true
 	specs := diffPopulation(t, diffCase{seed: 3, scale: 0.005})
 	specs, _ = Feasible(cfg, specs)
 	sim, err := NewSimulator(cfg)

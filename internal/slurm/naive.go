@@ -3,10 +3,10 @@ package slurm
 // This file preserves the pre-calendar-queue event structure — the global
 // container/heap the simulator ran on through PR 5 — as a read-only
 // executable specification, following the naive.go convention from
-// internal/cluster and internal/core. Config.SpecEventQueue runs a whole
+// internal/cluster and internal/core. Config.specEventQueue runs a whole
 // simulation on it (the differential harness drives heap and calendar runs
 // over randomized workloads and asserts byte-identical stats, results and
-// trace output), Config.AuditEvents shadows the calendar queue with it at
+// trace output), Config.auditEvents shadows the calendar queue with it at
 // runtime, and FuzzCalQueue cross-checks the two under adversarial
 // push/pop interleavings. The ordering contract both implementations must
 // honor is event.before: time, then kind rank (capacity returns before

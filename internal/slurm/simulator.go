@@ -87,15 +87,15 @@ type Config struct {
 	// Monitor), so collector faults and cluster faults can run in the same
 	// experiment.
 	MonitorFaults monitor.FaultPlan
-	// SpecEventQueue runs the simulation on the container/heap reference
+	// specEventQueue runs the simulation on the container/heap reference
 	// event queue (the executable spec in naive.go) instead of the calendar
 	// queue. The differential equivalence harness drives both and asserts
-	// byte-identical output; production runs never set it.
-	SpecEventQueue bool
-	// AuditEvents shadows the calendar queue with the heap spec and cross-
-	// checks every dequeue at runtime. Test/debug only — it doubles the
-	// queue work the calendar queue exists to avoid.
-	AuditEvents bool
+	// byte-identical output; only in-package tests set it.
+	specEventQueue bool
+	// auditEvents shadows the calendar queue with the heap spec and cross-
+	// checks every dequeue at runtime. Test only — it doubles the queue
+	// work the calendar queue exists to avoid.
+	auditEvents bool
 }
 
 // DefaultConfig returns a paper-shaped configuration without monitoring.
@@ -412,9 +412,9 @@ func (s *Simulator) prepare(specs []workload.JobSpec) error {
 		s.seq++
 	}
 	switch {
-	case s.cfg.AuditEvents:
+	case s.cfg.auditEvents:
 		s.events = newEventAudit(newCalQueue(initial), naiveNewEventQueue(initial))
-	case s.cfg.SpecEventQueue:
+	case s.cfg.specEventQueue:
 		s.events = naiveNewEventQueue(initial)
 	default:
 		s.events = newCalQueue(initial)

@@ -109,7 +109,7 @@ func (c *FloatColumn) Sorted() []float64 {
 // sorted slice; for a segmented-snapshot column it wraps the cached sorted
 // RUNS (sealed prefix + tail) and answers by selection, so a live query
 // never pays the O(n) merge that Sorted() would materialize. This is the
-// read path behind core.StreamQuery and the streaming-ingest benchmark.
+// read path behind core.CharacterizeSeg and the streaming-ingest benchmark.
 func (c *FloatColumn) Stats() *stats.RunsView {
 	if c == nil {
 		return stats.NewRunsView()
