@@ -84,10 +84,12 @@ perfbench:
 	cd _perfbench && $(GO) vet . && $(GO) test .
 
 # Allocation-count guards (PR 6, part of `make check`): the calendar queue's
-# steady-state zero-allocation property and the end-to-end per-job allocation
-# budget of Simulate. Skipped automatically under -race.
+# steady-state zero-allocation property, the end-to-end per-job allocation
+# budget of Simulate, and BuildColumns' pinned allocation count (it runs once
+# per simulation replication). Skipped automatically under -race.
 alloc-guard:
 	$(GO) test ./internal/slurm -count=1 		-run 'TestCalQueueSteadyStateAllocFree|TestHeapSpecBoxesPerEvent|TestSimulatePerJobAllocBudget'
+	$(GO) test ./internal/trace -count=1 -run 'TestBuildColumnsAllocBudget'
 
 # Figure/experiment benchmarks: one `go test -bench` per paper table and
 # figure metric, plus the scheduler, streaming and durability benchmarks

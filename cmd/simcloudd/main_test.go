@@ -450,10 +450,9 @@ func TestServerBackpressure(t *testing.T) {
 	}
 }
 
-// TestServerConcurrentIngestQuery is the -race scenario behind the
-// race-stream make target: parallel ingest writers against parallel
-// summary/stats/figures readers, then a final consistency check against the
-// batch pipeline.
+// TestServerConcurrentIngestQuery is a -race scenario (`make race`):
+// parallel ingest writers against parallel summary/stats/figures readers,
+// then a final consistency check against the batch pipeline.
 func TestServerConcurrentIngestQuery(t *testing.T) {
 	ds := testDataset(t, 0.02, 7)
 	srv := newTestServer(t, t.TempDir(),

@@ -128,6 +128,22 @@ func Run(ctx context.Context, cfg Config, fn Replicator) (*Batch, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	batch := dispatch(ctx, cfg, func(r *RepResult) {
+		r.Err = guard(ctx, r.Rep, func() (err error) {
+			r.Sample, err = fn(ctx, r.Rep, r.Seed)
+			return err
+		})
+	})
+	batch.merge()
+	return batch, nil
+}
+
+// dispatch is the worker-pool loop Run and RunStreamTo share: it hands each
+// replication to a worker, which marks it started and calls run on its
+// result, and it stops handing out replications once ctx is done.
+// Replications never started get the context's error. run records its
+// outcome in r and must synchronize anything else it shares.
+func dispatch(ctx context.Context, cfg Config, run func(r *RepResult)) *Batch {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -153,18 +169,18 @@ func Run(ctx context.Context, cfg Config, fn Replicator) (*Batch, error) {
 			for rep := range jobs {
 				r := &batch.Results[rep]
 				r.Started = true
-				r.Sample, r.Err = runOne(ctx, fn, rep, r.Seed)
+				run(r)
 			}
 		}()
 	}
 
-dispatch:
+feed:
 	for rep := 0; rep < cfg.Reps; rep++ {
 		select {
 		case jobs <- rep:
 		case <-ctx.Done():
 			batch.Canceled = true
-			break dispatch
+			break feed
 		}
 	}
 	close(jobs)
@@ -179,30 +195,33 @@ dispatch:
 			batch.Results[i].Err = ctx.Err()
 		}
 	}
-
-	// Merge in replication-index order: worker scheduling decided *when*
-	// each sample was produced, never the fold order, so the summary is a
-	// pure function of (root seed, completed set).
-	batch.Merged = NewSummary()
-	for i := range batch.Results {
-		r := &batch.Results[i]
-		if r.Started && r.Err == nil {
-			batch.Merged.AddSample(r.Rep, r.Sample)
-		}
-	}
-	return batch, nil
+	return batch
 }
 
-// runOne invokes the replicator behind the panic barrier.
-func runOne(ctx context.Context, fn Replicator, rep int, seed uint64) (sample Sample, err error) {
+// merge folds the successful replications' samples into b.Merged in
+// replication-index order: worker scheduling decided *when* each sample was
+// produced, never the fold order, so the summary is a pure function of
+// (root seed, completed set).
+func (b *Batch) merge() {
+	b.Merged = NewSummary()
+	for i := range b.Results {
+		r := &b.Results[i]
+		if r.Started && r.Err == nil {
+			b.Merged.AddSample(r.Rep, r.Sample)
+		}
+	}
+}
+
+// guard runs call behind the panic barrier: a panic becomes replication
+// rep's error (with its stack), and a context already done skips the call.
+func guard(ctx context.Context, rep int, call func() error) (err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			sample = nil
-			err = fmt.Errorf("engine: replication %d panicked: %v\n%s", rep, r, debug.Stack())
+		if p := recover(); p != nil {
+			err = fmt.Errorf("engine: replication %d panicked: %v\n%s", rep, p, debug.Stack())
 		}
 	}()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	return fn(ctx, rep, seed)
+	return call()
 }

@@ -3,10 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
-	"repro/internal/dist"
 	"repro/internal/trace"
 )
 
@@ -74,22 +72,6 @@ func RunStreamTo(ctx context.Context, cfg Config, sink StreamSink, fn DatasetRep
 	if sink == nil {
 		return nil, fmt.Errorf("engine: RunStreamTo needs a sink")
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Reps {
-		workers = cfg.Reps
-	}
-
-	batch := &Batch{
-		RootSeed: cfg.RootSeed,
-		Results:  make([]RepResult, cfg.Reps),
-	}
-	for i := range batch.Results {
-		batch.Results[i] = RepResult{Rep: i, Seed: dist.StreamSeed(cfg.RootSeed, uint64(i))}
-	}
-
 	// pending parks completed datasets until every lower replication has
 	// been flushed; whichever worker completes a replication drains the
 	// ready prefix, so flushing needs no dedicated goroutine. A sink error
@@ -97,7 +79,7 @@ func RunStreamTo(ctx context.Context, cfg Config, sink StreamSink, fn DatasetRep
 	// (everything the sink received is replications 0..k in order).
 	var (
 		flushMu sync.Mutex
-		pending = make(map[int]*trace.Dataset, workers)
+		pending = make(map[int]*trace.Dataset)
 		next    int
 		sinkErr error
 	)
@@ -119,58 +101,23 @@ func RunStreamTo(ctx context.Context, cfg Config, sink StreamSink, fn DatasetRep
 		}
 	}
 
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for rep := range jobs {
-				r := &batch.Results[rep]
-				r.Started = true
-				var ds *trace.Dataset
-				ds, r.Sample, r.Err = runOneDS(ctx, fn, rep, r.Seed)
-				if r.Err == nil {
-					flush(rep, ds)
-				}
-			}
-		}()
-	}
-
-dispatch:
-	for rep := 0; rep < cfg.Reps; rep++ {
-		select {
-		case jobs <- rep:
-		case <-ctx.Done():
-			batch.Canceled = true
-			break dispatch
+	batch := dispatch(ctx, cfg, func(r *RepResult) {
+		var ds *trace.Dataset
+		r.Err = guard(ctx, r.Rep, func() (err error) {
+			ds, r.Sample, err = fn(ctx, r.Rep, r.Seed)
+			return err
+		})
+		if r.Err == nil {
+			flush(r.Rep, ds)
 		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	if !batch.Canceled && ctx.Err() != nil {
-		batch.Canceled = true
-	}
-	for i := range batch.Results {
-		if !batch.Results[i].Started {
-			batch.Results[i].Err = ctx.Err()
-		}
-	}
+	})
 	if sinkErr != nil {
 		return batch, sinkErr
 	}
 	if err := batch.FirstErr(); err != nil {
 		return batch, err
 	}
-
-	batch.Merged = NewSummary()
-	for i := range batch.Results {
-		r := &batch.Results[i]
-		if r.Started && r.Err == nil {
-			batch.Merged.AddSample(r.Rep, r.Sample)
-		}
-	}
+	batch.merge()
 	return batch, nil
 }
 
@@ -194,18 +141,4 @@ func namespacedDataset(rep int, ds *trace.Dataset) *trace.Dataset {
 		}
 	}
 	return out
-}
-
-// runOneDS invokes the dataset replicator behind the panic barrier.
-func runOneDS(ctx context.Context, fn DatasetReplicator, rep int, seed uint64) (ds *trace.Dataset, sample Sample, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			ds, sample = nil, nil
-			err = fmt.Errorf("engine: replication %d panicked: %v", rep, r)
-		}
-	}()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	return fn(ctx, rep, seed)
 }

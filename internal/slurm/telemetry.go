@@ -1,6 +1,8 @@
 package slurm
 
 import (
+	"sort"
+
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -92,29 +94,40 @@ func (t *Telemetry) PeakQueueLen() int {
 }
 
 // OccupancyQuantiles returns the time-weighted busy-GPU distribution at the
-// given probabilities.
+// given probabilities: each recorded interval contributes its occupancy
+// fraction weighted by its duration, and the p-quantile is the smallest
+// fraction whose intervals cover at least p of the recorded time. Without
+// two points or any GPUs every quantile is 0.
 func (t *Telemetry) OccupancyQuantiles(totalGPUs int, ps ...float64) []float64 {
+	out := make([]float64, len(ps))
 	if len(t.Points) < 2 || totalGPUs == 0 {
-		out := make([]float64, len(ps))
-		for i := range out {
-			out[i] = 0
-		}
 		return out
 	}
-	// Expand into duration-weighted samples of occupancy fraction.
-	var vals []float64
+	type span struct{ frac, dur float64 }
+	spans := make([]span, 0, len(t.Points)-1)
 	for i := 1; i < len(t.Points); i++ {
-		dur := t.Points[i].TimeSec - t.Points[i-1].TimeSec
-		if dur <= 0 {
-			continue
+		if dur := t.Points[i].TimeSec - t.Points[i-1].TimeSec; dur > 0 {
+			spans = append(spans, span{float64(t.Points[i-1].BusyGPUs) / float64(totalGPUs), dur})
 		}
-		// Weight by duration in whole "ticks" of the mean gap to keep the
-		// sample count bounded.
-		frac := float64(t.Points[i-1].BusyGPUs) / float64(totalGPUs)
-		vals = append(vals, frac)
-		_ = dur
 	}
-	return stats.Quantiles(vals, ps...)
+	if len(spans) == 0 {
+		return out
+	}
+	sort.SliceStable(spans, func(a, b int) bool { return spans[a].frac < spans[b].frac })
+	cum := make([]float64, len(spans))
+	total := 0.0
+	for k, s := range spans {
+		total += s.dur
+		cum[k] = total
+	}
+	for i, p := range ps {
+		k := sort.SearchFloat64s(cum, p*total)
+		if k == len(cum) {
+			k--
+		}
+		out[i] = spans[k].frac
+	}
+	return out
 }
 
 // WaitBySize groups DES-measured queue waits by §V size class and returns

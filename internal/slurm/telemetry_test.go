@@ -45,6 +45,28 @@ func TestTelemetryRecordsTransitions(t *testing.T) {
 	}
 }
 
+// TestOccupancyQuantilesTimeWeighted: a long fully occupied span followed
+// by a burst of many short, nearly idle intervals. Time-weighting puts the
+// median at full occupancy; counting one sample per interval would let the
+// burst pull it down to 1/16.
+func TestOccupancyQuantilesTimeWeighted(t *testing.T) {
+	tel := &Telemetry{maxPoints: 1024}
+	tel.Points = append(tel.Points, TelemetryPoint{TimeSec: 0, BusyGPUs: 16})
+	for i := 0; i <= 100; i++ {
+		tel.Points = append(tel.Points, TelemetryPoint{TimeSec: 10000 + float64(i), BusyGPUs: 1})
+	}
+	q := tel.OccupancyQuantiles(16, 0, 0.005, 0.5, 0.9, 1)
+	want := []float64{1.0 / 16, 1.0 / 16, 1, 1, 1}
+	for i := range want {
+		if q[i] != want[i] {
+			t.Fatalf("occupancy quantiles = %v, want %v", q, want)
+		}
+	}
+	if q := (&Telemetry{}).OccupancyQuantiles(16, 0.5); q[0] != 0 {
+		t.Fatalf("empty telemetry median = %v, want 0", q[0])
+	}
+}
+
 func TestTelemetryQueueDepth(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cluster = smallCluster() // 16 GPUs

@@ -39,9 +39,9 @@ func NewFloatColumn(vals []float64) *FloatColumn { return &FloatColumn{vals: val
 
 // newMergeSortedColumn wraps vals (adopted, not copied) as a column whose
 // sorted view is the merge of the runs produced by runsFn on first use, in
-// place of the default sort. Used by SegStore snapshots to stitch
-// per-segment sorted runs; runsFn must return ascending NaN-free runs whose
-// union is exactly the multiset the default path would produce.
+// place of the default sort. Used by SegStore to stitch the sealed-prefix
+// merge cascade and a snapshot's tail; runsFn must return ascending NaN-free
+// runs whose union is exactly the multiset the default path would produce.
 func newMergeSortedColumn(vals []float64, runsFn func() [][]float64) *FloatColumn {
 	return &FloatColumn{vals: vals, runsFn: runsFn}
 }
@@ -84,21 +84,10 @@ func (c *FloatColumn) Sorted() []float64 {
 	}
 	c.once.Do(func() {
 		if runs := c.sortedRuns(); runs != nil {
-			n := 0
-			for _, r := range runs {
-				n += len(r)
-			}
-			c.sorted = mergeSortedRuns(runs, n)
+			c.sorted = mergeSortedRuns(runs)
 			return
 		}
-		s := make([]float64, 0, len(c.vals))
-		for _, v := range c.vals {
-			if !math.IsNaN(v) {
-				s = append(s, v)
-			}
-		}
-		sort.Float64s(s)
-		c.sorted = s
+		c.sorted = sortDropNaN(c.vals)
 	})
 	return c.sorted
 }
@@ -193,109 +182,185 @@ type Columns struct {
 
 // BuildColumns projects d into columns in a single pass over d.Jobs (plus
 // one sort per grouping key set). Prefer Dataset.Columns, which memoizes.
+// The result aliases d.Jobs and d.Series.
 func BuildColumns(d *Dataset) *Columns {
-	c := &Columns{
-		ByUser:       make(map[int][]int32),
-		DurationDays: d.DurationDays,
-		series:       d.Series,
-	}
-	nGPU := 0
+	nGPU, nCPU := 0, 0
 	for i := range d.Jobs {
-		if j := &d.Jobs[i]; j.IsGPU() && j.RunSec >= MinGPUJobRunSec {
+		switch j := &d.Jobs[i]; {
+		case !j.IsGPU():
+			nCPU++
+		case j.RunSec >= MinGPUJobRunSec:
 			nGPU++
 		}
 	}
-	nCPU := 0
+	p := newProjection(nGPU, nCPU)
 	for i := range d.Jobs {
-		if !d.Jobs[i].IsGPU() {
-			nCPU++
-		}
+		p.add(&d.Jobs[i])
 	}
-	c.GPU = make([]*JobRecord, 0, nGPU)
-	c.NumGPUs = make([]int, 0, nGPU)
-	runMin := make([]float64, 0, nGPU)
-	waitSec := make([]float64, 0, nGPU)
-	waitPct := make([]float64, 0, nGPU)
-	hours := make([]float64, 0, nGPU)
-	hostCPU := make([]float64, 0, nGPU)
-	var mean, maxv [metrics.NumMetrics][]float64
-	for m := range mean {
-		mean[m] = make([]float64, 0, nGPU)
-		maxv[m] = make([]float64, 0, nGPU)
-	}
-	var bySize [NumSizeClasses][]float64
-	c.CPU = make([]*JobRecord, 0, nCPU)
-	cpuRunMin := make([]float64, 0, nCPU)
-	cpuWaitSec := make([]float64, 0, nCPU)
-	cpuWaitPct := make([]float64, 0, nCPU)
-	cpuHostCPU := make([]float64, 0, nCPU)
+	return p.columns(d.DurationDays, d.Series, func(_ int, vals []float64) *FloatColumn {
+		return NewFloatColumn(vals)
+	})
+}
 
-	for i := range d.Jobs {
-		j := &d.Jobs[i]
-		if !j.IsGPU() {
-			c.CPU = append(c.CPU, j)
-			cpuRunMin = append(cpuRunMin, j.RunSec/60)
-			cpuWaitSec = append(cpuWaitSec, j.WaitSec)
-			cpuWaitPct = append(cpuWaitPct, j.WaitFraction())
-			cpuHostCPU = append(cpuHostCPU, j.HostCPU.Mean)
-			continue
-		}
-		if j.RunSec < MinGPUJobRunSec {
-			continue
-		}
-		idx := int32(len(c.GPU))
-		c.GPU = append(c.GPU, j)
-		c.NumGPUs = append(c.NumGPUs, j.NumGPUs)
-		runMin = append(runMin, j.RunSec/60)
-		waitSec = append(waitSec, j.WaitSec)
-		waitPct = append(waitPct, j.WaitFraction())
-		h := j.GPUHours()
-		hours = append(hours, h)
-		c.TotalGPUHours += h
-		hostCPU = append(hostCPU, j.HostCPU.Mean)
-		for m := metrics.Metric(0); m < metrics.NumMetrics; m++ {
-			mean[m] = append(mean[m], j.GPU[m].Mean)
-			maxv[m] = append(maxv[m], j.GPU[m].Max)
-		}
-		bySize[SizeClass(j.NumGPUs)] = append(bySize[SizeClass(j.NumGPUs)], j.WaitSec)
-		if j.NumGPUs >= 2 {
-			c.Multi = append(c.Multi, j)
-		}
-		c.ByUser[j.User] = append(c.ByUser[j.User], idx)
-		if j.Interface >= 0 && j.Interface < NumInterfaces {
-			c.ByIface[j.Interface] = append(c.ByIface[j.Interface], idx)
-		}
-	}
+// Ids of projection's float arrays, one per FloatColumn field of Columns.
+const (
+	sfRunMin = iota
+	sfWaitSec
+	sfWaitPct
+	sfGPUHours
+	sfHostCPU
+	sfCPURunMin
+	sfCPUWaitSec
+	sfCPUWaitPct
+	sfCPUHostCPU
+	sfWaitSize0 // + size class; NumSizeClasses columns
+)
 
-	c.RunMin = NewFloatColumn(runMin)
-	c.WaitSec = NewFloatColumn(waitSec)
-	c.WaitPct = NewFloatColumn(waitPct)
-	c.GPUHours = NewFloatColumn(hours)
-	c.HostCPU = NewFloatColumn(hostCPU)
-	for m := range mean {
-		c.Mean[m] = NewFloatColumn(mean[m])
-		c.Max[m] = NewFloatColumn(maxv[m])
-	}
-	for s := range bySize {
-		c.WaitBySize[s] = NewFloatColumn(bySize[s])
-	}
-	c.CPURunMin = NewFloatColumn(cpuRunMin)
-	c.CPUWaitSec = NewFloatColumn(cpuWaitSec)
-	c.CPUWaitPct = NewFloatColumn(cpuWaitPct)
-	c.CPUHostCPU = NewFloatColumn(cpuHostCPU)
+// sfMean0/sfMax0 are the bases of the per-metric mean/max column blocks.
+const (
+	sfMean0      = sfWaitSize0 + NumSizeClasses
+	sfMax0       = sfMean0 + int(metrics.NumMetrics)
+	numFloatCols = sfMax0 + int(metrics.NumMetrics)
+)
 
-	c.Users = make([]int, 0, len(c.ByUser))
-	for u := range c.ByUser {
+// projection is the one row-to-column mapping behind both BuildColumns and
+// SegStore: append-only arrays holding every per-job value Columns exposes,
+// filled one record at a time in append order. Elements below an array's
+// length are never rewritten and append only writes at or past it, so a
+// full-slice-expression view vals[:n:n] is immutable forever — which is
+// what lets a SegStore snapshot share the arrays with later appends.
+type projection struct {
+	f       [numFloatCols][]float64
+	numGPUs []int
+	gpu     []*JobRecord
+	multi   []*JobRecord
+	cpu     []*JobRecord
+	byUser  map[int][]int32
+	byIface [NumInterfaces][]int32
+	// totalGPUHours accumulates in append order, the float sequence every
+	// figure's sequential scan folds.
+	totalGPUHours float64
+}
+
+// newProjection presizes the population arrays for nGPU analysis-population
+// GPU jobs and nCPU CPU jobs.
+func newProjection(nGPU, nCPU int) *projection {
+	p := &projection{
+		numGPUs: make([]int, 0, nGPU),
+		gpu:     make([]*JobRecord, 0, nGPU),
+		cpu:     make([]*JobRecord, 0, nCPU),
+		byUser:  make(map[int][]int32),
+	}
+	for id := range p.f {
+		switch {
+		case id >= sfCPURunMin && id <= sfCPUHostCPU:
+			p.f[id] = make([]float64, 0, nCPU)
+		case id >= sfWaitSize0 && id < sfMean0:
+			// The size classes split the GPU population; they grow on demand.
+		default:
+			p.f[id] = make([]float64, 0, nGPU)
+		}
+	}
+	return p
+}
+
+// add projects one record. CPU jobs join the CPU population; GPU jobs join
+// the analysis population only when they ran at least MinGPUJobRunSec. It
+// reports whether jp joined the GPU analysis population.
+func (p *projection) add(jp *JobRecord) bool {
+	if !jp.IsGPU() {
+		p.cpu = append(p.cpu, jp)
+		p.f[sfCPURunMin] = append(p.f[sfCPURunMin], jp.RunSec/60)
+		p.f[sfCPUWaitSec] = append(p.f[sfCPUWaitSec], jp.WaitSec)
+		p.f[sfCPUWaitPct] = append(p.f[sfCPUWaitPct], jp.WaitFraction())
+		p.f[sfCPUHostCPU] = append(p.f[sfCPUHostCPU], jp.HostCPU.Mean)
+		return false
+	}
+	if jp.RunSec < MinGPUJobRunSec {
+		return false
+	}
+	idx := int32(len(p.gpu))
+	p.gpu = append(p.gpu, jp)
+	p.numGPUs = append(p.numGPUs, jp.NumGPUs)
+	p.f[sfRunMin] = append(p.f[sfRunMin], jp.RunSec/60)
+	p.f[sfWaitSec] = append(p.f[sfWaitSec], jp.WaitSec)
+	p.f[sfWaitPct] = append(p.f[sfWaitPct], jp.WaitFraction())
+	h := jp.GPUHours()
+	p.f[sfGPUHours] = append(p.f[sfGPUHours], h)
+	p.totalGPUHours += h
+	p.f[sfHostCPU] = append(p.f[sfHostCPU], jp.HostCPU.Mean)
+	for m := metrics.Metric(0); m < metrics.NumMetrics; m++ {
+		p.f[sfMean0+int(m)] = append(p.f[sfMean0+int(m)], jp.GPU[m].Mean)
+		p.f[sfMax0+int(m)] = append(p.f[sfMax0+int(m)], jp.GPU[m].Max)
+	}
+	size := sfWaitSize0 + SizeClass(jp.NumGPUs)
+	p.f[size] = append(p.f[size], jp.WaitSec)
+	if jp.NumGPUs >= 2 {
+		p.multi = append(p.multi, jp)
+	}
+	p.byUser[jp.User] = append(p.byUser[jp.User], idx)
+	if jp.Interface >= 0 && jp.Interface < NumInterfaces {
+		p.byIface[jp.Interface] = append(p.byIface[jp.Interface], idx)
+	}
+	return true
+}
+
+// columns assembles a Columns over everything added so far from
+// full-slice-expression views of the arrays, so later adds never show
+// through. col wraps each float array view (given its sf* id) as a column;
+// series is adopted as the Columns' series map.
+func (p *projection) columns(durationDays float64, series map[int64]*TimeSeries, col func(id int, vals []float64) *FloatColumn) *Columns {
+	view := func(id int) *FloatColumn {
+		n := len(p.f[id])
+		return col(id, p.f[id][:n:n])
+	}
+	c := &Columns{
+		GPU:           p.gpu[:len(p.gpu):len(p.gpu)],
+		RunMin:        view(sfRunMin),
+		WaitSec:       view(sfWaitSec),
+		WaitPct:       view(sfWaitPct),
+		GPUHours:      view(sfGPUHours),
+		HostCPU:       view(sfHostCPU),
+		NumGPUs:       p.numGPUs[:len(p.numGPUs):len(p.numGPUs)],
+		Multi:         p.multi[:len(p.multi):len(p.multi)],
+		CPU:           p.cpu[:len(p.cpu):len(p.cpu)],
+		CPURunMin:     view(sfCPURunMin),
+		CPUWaitSec:    view(sfCPUWaitSec),
+		CPUWaitPct:    view(sfCPUWaitPct),
+		CPUHostCPU:    view(sfCPUHostCPU),
+		Users:         make([]int, 0, len(p.byUser)),
+		ByUser:        make(map[int][]int32, len(p.byUser)),
+		SeriesIDs:     sortedSeriesKeys(series),
+		TotalGPUHours: p.totalGPUHours,
+		DurationDays:  durationDays,
+		series:        series,
+	}
+	for m := 0; m < int(metrics.NumMetrics); m++ {
+		c.Mean[m] = view(sfMean0 + m)
+		c.Max[m] = view(sfMax0 + m)
+	}
+	for s := range c.WaitBySize {
+		c.WaitBySize[s] = view(sfWaitSize0 + s)
+	}
+	for u, idx := range p.byUser {
 		c.Users = append(c.Users, u)
+		c.ByUser[u] = idx[:len(idx):len(idx)]
 	}
 	sort.Ints(c.Users)
-
-	c.SeriesIDs = make([]int64, 0, len(d.Series))
-	for id := range d.Series {
-		c.SeriesIDs = append(c.SeriesIDs, id)
+	for i, idx := range p.byIface {
+		c.ByIface[i] = idx[:len(idx):len(idx)]
 	}
-	sort.Slice(c.SeriesIDs, func(a, b int) bool { return c.SeriesIDs[a] < c.SeriesIDs[b] })
 	return c
+}
+
+// sortedSeriesKeys returns m's keys ascending.
+func sortedSeriesKeys(m map[int64]*TimeSeries) []int64 {
+	ids := make([]int64, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	return ids
 }
 
 // Series returns the detailed time series of a job, or nil. Iterate
@@ -310,5 +375,66 @@ func Gather(col *FloatColumn, idx []int32) []float64 {
 	for i, k := range idx {
 		out[i] = vals[k]
 	}
+	return out
+}
+
+// sortDropNaN returns a fresh ascending copy of vals with NaNs dropped (the
+// FloatColumn.Sorted contract).
+func sortDropNaN(vals []float64) []float64 {
+	s := make([]float64, 0, len(vals))
+	for _, v := range vals {
+		if !math.IsNaN(v) {
+			s = append(s, v)
+		}
+	}
+	sort.Float64s(s)
+	return s
+}
+
+// mergeSortedRuns k-way merges ascending runs into one ascending slice by
+// rounds of pairwise merges in run order — O(n log k) with sequential
+// memory traffic, and the output is the same ascending multiset a full
+// sort would produce.
+func mergeSortedRuns(runs [][]float64) []float64 {
+	live := make([][]float64, 0, len(runs))
+	for _, r := range runs {
+		if len(r) > 0 {
+			live = append(live, r)
+		}
+	}
+	switch len(live) {
+	case 0:
+		return []float64{}
+	case 1:
+		return live[0]
+	}
+	for len(live) > 1 {
+		next := live[:0]
+		for i := 0; i+1 < len(live); i += 2 {
+			next = append(next, mergeTwo(live[i], live[i+1]))
+		}
+		if len(live)%2 == 1 {
+			next = append(next, live[len(live)-1])
+		}
+		live = next
+	}
+	return live[0]
+}
+
+// mergeTwo merges two ascending runs into a fresh slice.
+func mergeTwo(a, b []float64) []float64 {
+	out := make([]float64, 0, len(a)+len(b))
+	i, k := 0, 0
+	for i < len(a) && k < len(b) {
+		if a[i] <= b[k] {
+			out = append(out, a[i])
+			i++
+		} else {
+			out = append(out, b[k])
+			k++
+		}
+	}
+	out = append(out, a[i:]...)
+	out = append(out, b[k:]...)
 	return out
 }

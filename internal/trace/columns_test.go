@@ -10,7 +10,8 @@ import (
 
 // columnsFixture builds a small mixed dataset exercising every grouping:
 // filtered short jobs, multi-GPU jobs, several users and interfaces, CPU
-// jobs, and an attached series.
+// jobs, and an attached series. Waits differ across size classes and CPU
+// jobs so a value routed to the wrong column shows.
 func columnsFixture() *Dataset {
 	d := NewDataset(125)
 	j1 := gpuJob(1, 0, 3600, 1)
@@ -22,9 +23,13 @@ func columnsFixture() *Dataset {
 	j3.WaitSec = 200
 	d.Add(j3)
 	j4 := gpuJob(4, 1, 1800, 2)
+	j4.WaitSec = 40
 	d.Add(j4)
 	d.Add(cpuJob(5, 2, 480))
-	d.Add(cpuJob(6, 0, 120))
+	j6 := cpuJob(6, 0, 120)
+	j6.WaitSec = 30
+	j6.HostCPU.Mean = 55
+	d.Add(j6)
 	d.AttachSeries(&TimeSeries{JobID: 1, IntervalSec: 1, PerGPU: [][]metrics.Sample{make([]metrics.Sample, 60)}})
 	d.AttachSeries(&TimeSeries{JobID: 3, IntervalSec: 1, PerGPU: [][]metrics.Sample{make([]metrics.Sample, 60)}})
 	return d
@@ -45,8 +50,31 @@ func TestColumnsMatchRowScans(t *testing.T) {
 			t.Fatalf("GPU[%d] points at a different record", i)
 		}
 	}
-	if len(c.CPU) != len(d.CPUJobs()) || len(c.Multi) != len(d.MultiGPUJobs()) {
-		t.Fatalf("CPU/Multi sizes %d/%d", len(c.CPU), len(c.Multi))
+	wantCPU := d.CPUJobs()
+	if len(c.CPU) != len(wantCPU) {
+		t.Fatalf("CPU population %d, want %d", len(c.CPU), len(wantCPU))
+	}
+	for i, j := range wantCPU {
+		if c.CPU[i] != j {
+			t.Fatalf("CPU[%d] points at a different record", i)
+		}
+		if c.CPURunMin.Values()[i] != j.RunSec/60 || c.CPUWaitSec.Values()[i] != j.WaitSec ||
+			c.CPUWaitPct.Values()[i] != j.WaitFraction() || c.CPUHostCPU.Values()[i] != j.HostCPU.Mean {
+			t.Fatalf("CPU columns mismatch at %d", i)
+		}
+	}
+	if c.CPURunMin.N() != len(wantCPU) || c.CPUWaitSec.N() != len(wantCPU) ||
+		c.CPUWaitPct.N() != len(wantCPU) || c.CPUHostCPU.N() != len(wantCPU) {
+		t.Fatal("CPU column lengths differ from the CPU population")
+	}
+	wantMulti := d.MultiGPUJobs()
+	if len(c.Multi) != len(wantMulti) {
+		t.Fatalf("Multi population %d, want %d", len(c.Multi), len(wantMulti))
+	}
+	for i := range wantMulti {
+		if c.Multi[i] != wantMulti[i] {
+			t.Fatalf("Multi[%d] points at a different record", i)
+		}
 	}
 
 	wantRun := RunMinutes(wantGPU)
@@ -99,15 +127,30 @@ func TestColumnsMatchRowScans(t *testing.T) {
 		if len(idx) != len(jobs) {
 			t.Fatalf("ByIface[%v] size %d, want %d", iface, len(idx), len(jobs))
 		}
+		for k, j := range jobs {
+			if c.GPU[idx[k]] != j {
+				t.Fatalf("ByIface[%v][%d] wrong record", iface, k)
+			}
+		}
 	}
 
-	// Size-class wait columns partition the wait column.
-	total := 0
+	// Each size-class wait column holds the waits of its class, in order.
 	for s := range c.WaitBySize {
-		total += c.WaitBySize[s].N()
-	}
-	if total != len(c.GPU) {
-		t.Fatalf("size-class waits cover %d of %d jobs", total, len(c.GPU))
+		var want []float64
+		for _, j := range wantGPU {
+			if SizeClass(j.NumGPUs) == s {
+				want = append(want, j.WaitSec)
+			}
+		}
+		got := c.WaitBySize[s].Values()
+		if len(got) != len(want) {
+			t.Fatalf("WaitBySize[%d] = %v, want %v", s, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("WaitBySize[%d] = %v, want %v", s, got, want)
+			}
+		}
 	}
 
 	// Series order is the sorted key set.

@@ -2,66 +2,42 @@ package trace
 
 import (
 	"fmt"
-	"math"
-	"sort"
+	"maps"
 	"sync"
 
 	"repro/internal/metrics"
 	"repro/internal/stats"
 )
 
-// This file is the streaming counterpart of columns.go: an append-only,
-// segment-sharded columnar store. Dataset + BuildColumns serve the batch
-// world where the population is frozen before analysis; SegStore serves the
-// always-on world where jobs arrive while figures are being answered.
+// This file is the streaming counterpart of columns.go: an append-only
+// columnar store for the always-on world where jobs arrive while figures are
+// being answered (Dataset + BuildColumns serve the batch world, where the
+// population is frozen before analysis).
 //
-// The core idea is that every logical column lives in ONE append-only
-// backing array. Sealed segments are immutable [start,end) windows over
-// those arrays, each carrying its own lazily cached sorted view and a
-// mergeable summary; the mutable tail is just the region past the last
-// seal. Because written elements are never mutated and Go's append only
-// writes at or past len, a full-slice-expression view vals[:n:n] taken
-// under the store lock is immutable forever — a Snapshot is therefore O(1)
-// per column, and the Columns it returns is byte-identical to what
+// Both worlds project records through the same projection (columns.go), so
+// the per-job column layout exists once. A SegStore appends each record into
+// its projection as it arrives; a Snapshot is the projection's Columns over
+// full-slice-expression views of the append-only arrays, O(1) per column and
+// immutable as the store keeps appending. It is byte-identical to what
 // BuildColumns would produce over the same job sequence, for ANY seal or
 // compaction schedule:
 //
 //   - dataset-order vectors are the same physical elements, so every
 //     sequential (Welford, sum) figure scan folds the identical float
 //     sequence;
-//   - sorted views are k-way merges of the per-segment sorted runs (plus a
-//     sort of the small tail), and merging ascending runs of a multiset
+//   - sorted views merge the cached sorted run of the sealed prefix with a
+//     sort of the small tail, and merging ascending runs of a multiset
 //     yields the same ascending array as sorting the whole — without
 //     re-sorting sealed data ever again;
 //   - order-independent structures (per-user/interface indexes) are built
 //     incrementally exactly as BuildColumns builds them.
 //
-// Per-segment SegSummary aggregates (stats.Streaming moments) answer live
-// summary queries in O(segments); they merge in segment-index order, so
-// they are deterministic for a given seal/compaction schedule but — unlike
-// the figures — not invariant across schedules (float merge order differs).
-
-// Column indices into SegStore's float backing arrays. The layout mirrors
-// Columns' FloatColumn fields one-to-one.
-const (
-	sfRunMin = iota
-	sfWaitSec
-	sfWaitPct
-	sfGPUHours
-	sfHostCPU
-	sfCPURunMin
-	sfCPUWaitSec
-	sfCPUWaitPct
-	sfCPUHostCPU
-	sfWaitSize0 // + size class; NumSizeClasses columns
-)
-
-// sfMean0/sfMax0 are the bases of the per-metric mean/max column blocks.
-const (
-	sfMean0  = sfWaitSize0 + NumSizeClasses
-	sfMax0   = sfMean0 + int(metrics.NumMetrics)
-	numSegFs = sfMax0 + int(metrics.NumMetrics)
-)
+// Sealing freezes the tail: its sorted run folds into the sealed-prefix
+// merge cascade (sealedMerge), and a segment records only its job bounds
+// and a mergeable SegSummary digest. The digests answer live summary
+// queries in O(segments); they merge in segment-index order, so they are
+// deterministic for a given seal/compaction schedule but — unlike the
+// figures — not invariant across schedules (float merge order differs).
 
 // jobChunkSize is the slab size of the job arena. Chunks are allocated at
 // full capacity and never grow, so *JobRecord pointers handed to column
@@ -81,8 +57,9 @@ type SegConfig struct {
 	SegmentJobs int
 	// MaxSegments, when positive, bounds the sealed-segment count: when a
 	// seal pushes past it, adjacent segments are pairwise compacted
-	// (halving the count), keeping query-time merge fan-in and segment
-	// metadata O(MaxSegments).
+	// (halving the count), keeping segment metadata and Summary's
+	// O(segments) digest fold O(MaxSegments). Queries read the sealed-prefix
+	// merge cascade whatever the count, so it does not affect figures.
 	MaxSegments int
 }
 
@@ -131,14 +108,11 @@ func (s *SegSummary) Merge(o *SegSummary) {
 	}
 }
 
-// segment is one immutable sealed window of the store. Its FloatColumns
-// wrap full-slice-expression views of the backing arrays, so their lazily
-// cached sorted runs are shared by every snapshot and survive compaction
-// (a compacted segment merges its children's runs instead of re-sorting).
+// segment is one immutable sealed window of the store: its job bounds and
+// digest. Its column data lives in the store's projection and its sorted
+// run in the sealed-prefix merge cascade.
 type segment struct {
 	startJob, endJob int // [start,end) in appended-job order
-	off              [numSegFs]int
-	cols             [numSegFs]*FloatColumn
 	agg              SegSummary
 }
 
@@ -152,22 +126,10 @@ type SegStore struct {
 	mu  sync.Mutex
 	cfg SegConfig
 
-	// Append-only backing arrays (the whole-store columns). Elements below
-	// the current length are never rewritten. All guarded by mu, like
-	// every mutable field below: unlocked helpers carry the *Locked name
-	// suffix and run only with mu held (enforced by simlint's lockguard).
-	f       [numSegFs][]float64 // guarded by mu
-	numGPUs []int               // guarded by mu
-	gpu     []*JobRecord        // guarded by mu
-	multi   []*JobRecord        // guarded by mu
-	cpu     []*JobRecord        // guarded by mu
-
-	byUser  map[int][]int32        // guarded by mu
-	byIface [NumInterfaces][]int32 // guarded by mu
-
-	// totalGPUHours accumulates in append order — the exact float sequence
-	// BuildColumns folds, so snapshots report bit-identical totals.
-	totalGPUHours float64
+	// proj holds the whole-store columns. Like every mutable field below
+	// it is guarded by mu: unlocked helpers carry the *Locked name suffix
+	// and run only with mu held (enforced by simlint's lockguard).
+	proj *projection // guarded by mu
 
 	series map[int64]*TimeSeries     // guarded by mu
 	staged map[int64]stagedTelemetry // guarded by mu
@@ -175,19 +137,17 @@ type SegStore struct {
 	chunks [][]JobRecord // guarded by mu
 	nJobs  int           // guarded by mu
 
-	sealed  []*segment    // guarded by mu
-	tailOff [numSegFs]int // guarded by mu
-	tailJob int           // guarded by mu
-	tailAgg SegSummary    // guarded by mu
+	sealed  []*segment // guarded by mu
+	tailJob int        // guarded by mu
+	tailAgg SegSummary // guarded by mu
 
-	// sealedMerge[c] caches the merge of every sealed segment's sorted run
-	// for column c, as a lazily-sorted view over the sealed prefix of the
-	// backing array. It is replaced only when the sealed set's CONTENT
-	// changes (a seal); compaction reshapes the segments but not the
-	// multiset, so the cache survives it. Queries therefore pay one tail
-	// sort plus a single two-way merge per column, not a k-way merge —
-	// the merge cascade that keeps interleaved append+query O(tail)-ish.
-	sealedMerge [numSegFs]*FloatColumn // guarded by mu
+	// sealedMerge[c] is the sealed prefix of column c, proj.f[c][:N()], as
+	// a lazily sorted view (nil before the first seal): each seal wraps the
+	// previous one and the new segment's run in a two-way merge, done on
+	// first use. Compaction reshapes the segments but not the multiset, so
+	// the cascade survives it. Queries therefore pay one tail sort plus a
+	// single two-way merge per column, however many segments are sealed.
+	sealedMerge [numFloatCols]*FloatColumn // guarded by mu
 
 	gen  uint64   // guarded by mu
 	snap *SegView // guarded by mu
@@ -216,8 +176,6 @@ type SegView struct {
 	TailJobs int
 	// Gen increases with every mutation; equal Gens mean identical views.
 	Gen uint64
-
-	sortTasks []func()
 }
 
 // NewSegStore creates an empty store.
@@ -227,7 +185,7 @@ func NewSegStore(cfg SegConfig) *SegStore {
 	}
 	return &SegStore{
 		cfg:    cfg,
-		byUser: make(map[int][]int32),
+		proj:   newProjection(0, 0),
 		series: make(map[int64]*TimeSeries),
 		staged: make(map[int64]stagedTelemetry),
 	}
@@ -327,9 +285,9 @@ func (st *SegStore) StagedJobs() int {
 	return len(st.staged)
 }
 
-// appendLocked projects one record into the columns. It mirrors the
-// BuildColumns loop body exactly so snapshots are bit-identical to the
-// batch path.
+// appendLocked joins any staged telemetry, arena-allocates the record and
+// projects it into the columns through the same projection BuildColumns
+// uses, so snapshots are bit-identical to the batch path.
 func (st *SegStore) appendLocked(j JobRecord) {
 	if tel, ok := st.staged[j.JobID]; ok {
 		delete(st.staged, j.JobID)
@@ -354,42 +312,12 @@ func (st *SegStore) appendLocked(j JobRecord) {
 	st.gen++
 	st.snap = nil
 	st.tailAgg.Jobs++
-
-	if !jp.IsGPU() {
-		st.cpu = append(st.cpu, jp)
-		st.f[sfCPURunMin] = append(st.f[sfCPURunMin], jp.RunSec/60)
-		st.f[sfCPUWaitSec] = append(st.f[sfCPUWaitSec], jp.WaitSec)
-		st.f[sfCPUWaitPct] = append(st.f[sfCPUWaitPct], jp.WaitFraction())
-		st.f[sfCPUHostCPU] = append(st.f[sfCPUHostCPU], jp.HostCPU.Mean)
+	switch {
+	case st.proj.add(jp):
+		st.tailAgg.addGPU(jp, jp.GPUHours())
+	case !jp.IsGPU():
 		st.tailAgg.CPUJobs++
-		return
 	}
-	if jp.RunSec < MinGPUJobRunSec {
-		return
-	}
-	idx := int32(len(st.gpu))
-	st.gpu = append(st.gpu, jp)
-	st.numGPUs = append(st.numGPUs, jp.NumGPUs)
-	st.f[sfRunMin] = append(st.f[sfRunMin], jp.RunSec/60)
-	st.f[sfWaitSec] = append(st.f[sfWaitSec], jp.WaitSec)
-	st.f[sfWaitPct] = append(st.f[sfWaitPct], jp.WaitFraction())
-	h := jp.GPUHours()
-	st.f[sfGPUHours] = append(st.f[sfGPUHours], h)
-	st.totalGPUHours += h
-	st.f[sfHostCPU] = append(st.f[sfHostCPU], jp.HostCPU.Mean)
-	for m := metrics.Metric(0); m < metrics.NumMetrics; m++ {
-		st.f[sfMean0+int(m)] = append(st.f[sfMean0+int(m)], jp.GPU[m].Mean)
-		st.f[sfMax0+int(m)] = append(st.f[sfMax0+int(m)], jp.GPU[m].Max)
-	}
-	st.f[sfWaitSize0+SizeClass(jp.NumGPUs)] = append(st.f[sfWaitSize0+SizeClass(jp.NumGPUs)], jp.WaitSec)
-	if jp.NumGPUs >= 2 {
-		st.multi = append(st.multi, jp)
-	}
-	st.byUser[jp.User] = append(st.byUser[jp.User], idx)
-	if jp.Interface >= 0 && jp.Interface < NumInterfaces {
-		st.byIface[jp.Interface] = append(st.byIface[jp.Interface], idx)
-	}
-	st.tailAgg.addGPU(jp, h)
 }
 
 // maybeSealLocked seals when the tail crosses the configured size.
@@ -401,8 +329,8 @@ func (st *SegStore) maybeSealLocked() {
 
 // SealTail seals the current tail into an immutable segment (a no-op for an
 // empty tail). Sealing never changes query results — it only freezes the
-// region so its sorted runs are cached once and reused by every later
-// snapshot instead of being re-sorted.
+// region so its sorted run is cached once in the sealed-prefix merge and
+// reused by every later snapshot instead of being re-sorted.
 func (st *SegStore) SealTail() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -425,38 +353,31 @@ func (st *SegStore) sealLocked() {
 // compaction the original store performed (re-folding the jobs would differ
 // in final ulps — the recorded floats are the ground truth).
 func (st *SegStore) sealSegmentLocked(agg SegSummary) {
-	seg := &segment{startJob: st.tailJob, endJob: st.nJobs, agg: agg}
-	for c := 0; c < numSegFs; c++ {
-		seg.off[c] = st.tailOff[c]
-		end := len(st.f[c])
-		seg.cols[c] = NewFloatColumn(st.f[c][st.tailOff[c]:end:end])
-		st.tailOff[c] = end
-	}
+	st.sealed = append(st.sealed, &segment{startJob: st.tailJob, endJob: st.nJobs, agg: agg})
 	st.tailJob = st.nJobs
 	st.tailAgg = SegSummary{}
-	st.sealed = append(st.sealed, seg)
-	// Refresh the merge cascade: fold the new segment's run into the
-	// previous sealed-prefix merge (one two-way merge on first use), rather
-	// than discarding the cascade and re-merging every segment.
-	for c := 0; c < numSegFs; c++ {
-		prev, next := st.sealedMerge[c], seg.cols[c]
-		end := st.tailOff[c]
-		vals := st.f[c][:end:end]
+	// Fold the new segment's run into the sealed-prefix merge (one two-way
+	// merge on first use) rather than re-merging every segment.
+	for c := range st.proj.f {
+		prev, vals := st.sealedMerge[c], st.proj.f[c]
+		end := len(vals)
+		run := NewFloatColumn(vals[prev.N():end:end])
 		if prev == nil {
-			st.sealedMerge[c] = next
+			st.sealedMerge[c] = run
 		} else {
-			st.sealedMerge[c] = newMergeSortedColumn(vals, func() [][]float64 {
-				return [][]float64{prev.Sorted(), next.Sorted()}
+			st.sealedMerge[c] = newMergeSortedColumn(vals[:end:end], func() [][]float64 {
+				return [][]float64{prev.Sorted(), run.Sorted()}
 			})
 		}
 	}
 }
 
 // Compact pairwise-merges adjacent sealed segments, halving the segment
-// count: merge fan-in and per-segment metadata stay bounded while sealed
-// sorted runs are merged, not re-sorted. Figure results are unaffected
-// (the property test pins this); SegSummary moments change merge
-// association and so may differ in final ulps from an unsealed run.
+// count: the segment metadata and Summary's O(segments) digest fold stay
+// bounded. Figure results are unaffected (queries read the sealed-prefix
+// merge, which compaction leaves alone; the property test pins this);
+// SegSummary moments change merge association and so may differ in final
+// ulps from an unsealed run.
 func (st *SegStore) Compact() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -469,7 +390,7 @@ func (st *SegStore) compactLocked() {
 	}
 	merged := make([]*segment, 0, (len(st.sealed)+1)/2)
 	for i := 0; i+1 < len(st.sealed); i += 2 {
-		merged = append(merged, st.mergeSegmentsLocked(st.sealed[i], st.sealed[i+1]))
+		merged = append(merged, mergeSegments(st.sealed[i], st.sealed[i+1]))
 	}
 	if len(st.sealed)%2 == 1 {
 		merged = append(merged, st.sealed[len(st.sealed)-1])
@@ -479,24 +400,11 @@ func (st *SegStore) compactLocked() {
 	st.snap = nil
 }
 
-// mergeSegmentsLocked combines two adjacent segments into one. Column
-// views are re-cut from the shared backing arrays (the windows are
-// contiguous); the sorted view stays lazy — it merges the children's runs
-// on first use, so sealed data is sorted at most once no matter how many
-// compactions roll over it, and never if nobody asks. Called with mu held
-// (it reads the backing arrays), hence the Locked suffix.
-func (st *SegStore) mergeSegmentsLocked(a, b *segment) *segment {
+// mergeSegments combines two adjacent segments into one: the union of their
+// bounds and a's digest merged with b's.
+func mergeSegments(a, b *segment) *segment {
 	out := &segment{startJob: a.startJob, endJob: b.endJob, agg: a.agg}
 	out.agg.Merge(&b.agg)
-	for c := 0; c < numSegFs; c++ {
-		end := b.off[c] + b.cols[c].N()
-		vals := st.f[c][a.off[c]:end:end]
-		out.off[c] = a.off[c]
-		ac, bc := a.cols[c], b.cols[c]
-		out.cols[c] = newMergeSortedColumn(vals, func() [][]float64 {
-			return [][]float64{ac.Sorted(), bc.Sorted()}
-		})
-	}
 	return out
 }
 
@@ -549,91 +457,30 @@ func (st *SegStore) Snapshot() *SegView {
 	if st.snap != nil {
 		return st.snap
 	}
-	c := &Columns{
-		ByUser:        make(map[int][]int32, len(st.byUser)),
-		DurationDays:  st.cfg.DurationDays,
-		TotalGPUHours: st.totalGPUHours,
-	}
-	v := &SegView{
+	c := st.proj.columns(st.cfg.DurationDays, maps.Clone(st.series), func(id int, vals []float64) *FloatColumn {
+		sealed := st.sealedMerge[id]
+		if sealed == nil {
+			// Nothing sealed: a plain sort-on-demand view of the tail
+			// (== the whole store).
+			return NewFloatColumn(vals)
+		}
+		tail := vals[sealed.N():]
+		return newMergeSortedColumn(vals, func() [][]float64 {
+			if len(tail) == 0 {
+				return [][]float64{sealed.Sorted()}
+			}
+			return [][]float64{sealed.Sorted(), sortDropNaN(tail)}
+		})
+	})
+	st.snap = &SegView{
 		Cols:     c,
 		NJobs:    st.nJobs,
 		Segments: len(st.sealed),
 		TailJobs: st.nJobs - st.tailJob,
 		Gen:      st.gen,
 	}
-
-	// Full-slice-expression views: immutable even as the store appends.
-	c.GPU = st.gpu[:len(st.gpu):len(st.gpu)]
-	c.Multi = st.multi[:len(st.multi):len(st.multi)]
-	c.CPU = st.cpu[:len(st.cpu):len(st.cpu)]
-	c.NumGPUs = st.numGPUs[:len(st.numGPUs):len(st.numGPUs)]
-
-	segs := st.sealed[:len(st.sealed):len(st.sealed)]
-	col := func(id int) *FloatColumn {
-		n := len(st.f[id])
-		vals := st.f[id][:n:n]
-		tail := st.f[id][st.tailOff[id]:n:n]
-		sealed := st.sealedMerge[id]
-		if sealed == nil {
-			// Nothing sealed: the snapshot column is a plain sort-on-demand
-			// view of the tail (== the whole store).
-			return NewFloatColumn(vals)
-		}
-		fc := newMergeSortedColumn(vals, func() [][]float64 {
-			if len(tail) == 0 {
-				return [][]float64{sealed.Sorted()}
-			}
-			return [][]float64{sealed.Sorted(), sortDropNaN(tail, nil)}
-		})
-		for _, seg := range segs {
-			seg := seg
-			v.sortTasks = append(v.sortTasks, func() { seg.cols[id].Sorted() })
-		}
-		return fc
-	}
-	c.RunMin = col(sfRunMin)
-	c.WaitSec = col(sfWaitSec)
-	c.WaitPct = col(sfWaitPct)
-	c.GPUHours = col(sfGPUHours)
-	c.HostCPU = col(sfHostCPU)
-	c.CPURunMin = col(sfCPURunMin)
-	c.CPUWaitSec = col(sfCPUWaitSec)
-	c.CPUWaitPct = col(sfCPUWaitPct)
-	c.CPUHostCPU = col(sfCPUHostCPU)
-	for s := 0; s < NumSizeClasses; s++ {
-		c.WaitBySize[s] = col(sfWaitSize0 + s)
-	}
-	for m := 0; m < int(metrics.NumMetrics); m++ {
-		c.Mean[m] = col(sfMean0 + m)
-		c.Max[m] = col(sfMax0 + m)
-	}
-
-	c.Users = make([]int, 0, len(st.byUser))
-	for u, idx := range st.byUser {
-		c.Users = append(c.Users, u)
-		c.ByUser[u] = idx[:len(idx):len(idx)]
-	}
-	sort.Ints(c.Users)
-	for i := range st.byIface {
-		c.ByIface[i] = st.byIface[i][:len(st.byIface[i]):len(st.byIface[i])]
-	}
-
-	c.SeriesIDs = sortedSeriesKeys(st.series)
-	c.series = make(map[int64]*TimeSeries, len(st.series))
-	for _, id := range c.SeriesIDs {
-		c.series[id] = st.series[id]
-	}
-
-	st.snap = v
-	return v
+	return st.snap
 }
-
-// SortTasks returns one closure per (sealed segment, column) pair that
-// materializes that segment's cached sorted run. They are independent and
-// idempotent, so a caller with a worker pool can fan them out before the
-// snapshot's merged views are first consumed; running none is equally
-// correct, just serial. The merge itself always folds in segment order.
-func (v *SegView) SortTasks() []func() { return v.sortTasks }
 
 // Validate checks every appended record and the series linkage, the
 // streaming counterpart of Dataset.Validate.
@@ -659,85 +506,4 @@ func (st *SegStore) Validate() error {
 		}
 	}
 	return nil
-}
-
-// sortDropNaN returns vals ascending with NaNs dropped — via sortFn when
-// one is supplied, else by sorting a fresh copy (the FloatColumn.Sorted
-// contract).
-func sortDropNaN(vals []float64, sortFn func() []float64) []float64 {
-	if sortFn != nil {
-		return sortFn()
-	}
-	s := make([]float64, 0, len(vals))
-	for _, v := range vals {
-		if !math.IsNaN(v) {
-			s = append(s, v)
-		}
-	}
-	sort.Float64s(s)
-	return s
-}
-
-// mergeSortedRuns k-way merges ascending runs into one ascending slice by
-// rounds of pairwise merges in run order — O(n log k) with sequential
-// memory traffic, and the output is the same ascending multiset a full
-// sort would produce. sizeHint presizes the result (NaN-free runs may sum
-// below it).
-func mergeSortedRuns(runs [][]float64, sizeHint int) []float64 {
-	live := make([][]float64, 0, len(runs))
-	for _, r := range runs {
-		if len(r) > 0 {
-			live = append(live, r)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return []float64{}
-	case 1:
-		return live[0]
-	}
-	for len(live) > 1 {
-		next := live[:0]
-		for i := 0; i+1 < len(live); i += 2 {
-			next = append(next, mergeTwo(live[i], live[i+1], sizeHint))
-		}
-		if len(live)%2 == 1 {
-			next = append(next, live[len(live)-1])
-		}
-		live = next
-	}
-	return live[0]
-}
-
-// mergeTwo merges two ascending runs. capHint bounds the allocation for the
-// final round; intermediate rounds allocate exactly len(a)+len(b).
-func mergeTwo(a, b []float64, capHint int) []float64 {
-	n := len(a) + len(b)
-	if capHint < n {
-		capHint = n
-	}
-	out := make([]float64, 0, n)
-	i, k := 0, 0
-	for i < len(a) && k < len(b) {
-		if a[i] <= b[k] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[k])
-			k++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[k:]...)
-	return out
-}
-
-// sortedSeriesKeys returns m's keys ascending.
-func sortedSeriesKeys(m map[int64]*TimeSeries) []int64 {
-	ids := make([]int64, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	return ids
 }

@@ -212,33 +212,37 @@ func sortedKeys(m map[int64]*trace.TimeSeries) []int64 {
 	return out
 }
 
-// TestSegStoreSortTasksParallel exercises the worker-fanned sort path: when
-// per-segment sorted runs are materialized concurrently (any order, any
-// worker count), the merged view must still be bit-identical.
-func TestSegStoreSortTasksParallel(t *testing.T) {
+// TestSegStoreConcurrentSorted materializes a compacted snapshot's sorted
+// views from several goroutines at once, each walking the columns in a
+// different order: every column's merge of the sealed-prefix cascade and
+// the tail must come out bit-identical to BuildColumns at any worker count.
+func TestSegStoreConcurrentSorted(t *testing.T) {
 	ds := segJobs(t, 0.05, 29)
 	want := trace.BuildColumns(ds)
 	for _, workers := range []int{1, 2, 3, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			st := trace.NewSegStore(trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: 111})
 			st.AppendDataset(ds)
+			st.Compact()
 			v := st.Snapshot()
-			tasks := v.SortTasks()
-			ch := make(chan func())
+			if v.Segments == 0 || v.TailJobs == 0 {
+				t.Fatalf("want sealed segments and a tail, got %d/%d", v.Segments, v.TailJobs)
+			}
+			cols := []*trace.FloatColumn{v.Cols.RunMin, v.Cols.WaitSec, v.Cols.WaitPct, v.Cols.GPUHours,
+				v.Cols.HostCPU, v.Cols.CPURunMin, v.Cols.CPUWaitSec, v.Cols.CPUWaitPct, v.Cols.CPUHostCPU}
+			cols = append(cols, v.Cols.WaitBySize[:]...)
+			cols = append(cols, v.Cols.Mean[:]...)
+			cols = append(cols, v.Cols.Max[:]...)
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
-				go func() {
+				go func(w int) {
 					defer wg.Done()
-					for fn := range ch {
-						fn()
+					for k := range cols {
+						cols[(k+w*7)%len(cols)].Sorted()
 					}
-				}()
+				}(w)
 			}
-			for _, fn := range tasks {
-				ch <- fn
-			}
-			close(ch)
 			wg.Wait()
 			compareColumns(t, want, v.Cols)
 		})
@@ -321,7 +325,7 @@ func TestSegStoreStageTelemetry(t *testing.T) {
 	}
 }
 
-// TestSegStoreConcurrentAppendQuery is the race-stream scenario: writers
+// TestSegStoreConcurrentAppendQuery is a -race scenario: writers
 // appending while readers snapshot, query figures inputs, and force sorted
 // materialization. Run under -race this pins the snapshot immutability
 // contract; without -race it still checks monotonic visibility.
