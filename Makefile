@@ -38,8 +38,13 @@ short:
 # tree and `go test -race ./...` runs them all exactly once. To narrow a
 # reproduction, run the package directly:
 #   $(GO) test -race -run <Test> ./internal/<pkg>
+# The explicit timeout is sized from the slowest package: cmd/simcloudd
+# takes 373-415 s under -race on a 2-core host by itself (its chaos test
+# restarts a race-built server many times) and 496 s while the other
+# packages share the cores, against go test's default 10 m. 30 m is about
+# four times its solo time.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # Crash-recovery acceptance harness (PR 9): a real simcloudd subprocess is
 # killed at 50+ randomized points — torn WAL writes at arbitrary byte

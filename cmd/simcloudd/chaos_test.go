@@ -97,11 +97,22 @@ func startProc(t *testing.T, args []string, chaosSpec string) *chaosProc {
 		p.base = "http://" + a
 	case <-p.done:
 		t.Fatalf("server died before listening:\n%s", p.dump())
-	case <-time.After(15 * time.Second):
+	case <-time.After(listenBudget()):
 		cmd.Process.Kill()
 		t.Fatalf("server never announced a listener:\n%s", p.dump())
 	}
 	return p
+}
+
+// listenBudget bounds a server's start, which includes recovering its data
+// dir. Recovery re-decodes the WAL suffix, and under the race detector that
+// took up to 17 s on a 2-core host (against about 1 s without it), so race
+// builds get 120 s instead of 15 s.
+func listenBudget() time.Duration {
+	if raceEnabled {
+		return 120 * time.Second
+	}
+	return 15 * time.Second
 }
 
 func (p *chaosProc) dump() string {

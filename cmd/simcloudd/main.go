@@ -8,12 +8,14 @@
 // The store is durable: every ingest batch, telemetry record and admin
 // operation is committed to a CRC-framed, hash-chained write-ahead log
 // (internal/durable) before it is applied, and the store checkpoints into
-// snapshots. Kill the process at any instant and restarting with the same
-// -data-dir recovers a store whose every query answer is byte-identical to
-// one that never crashed — the chaos harness (make chaos) proves exactly
-// that. Batches carry client IDs (X-Batch-ID, defaulting to the body's
-// SHA-256), so a client retrying an ambiguous failure is applied exactly
-// once.
+// snapshots. Only the commit (admission, WAL append, apply) is serialized:
+// ingest bodies are decoded before it, and a checkpoint is written after
+// it, so concurrent ingests keep committing while either runs. Kill the
+// process at any instant and restarting with the same -data-dir recovers a
+// store whose every query answer is byte-identical to one that never
+// crashed — the chaos harness (make chaos) proves exactly that. Batches
+// carry client IDs (X-Batch-ID, defaulting to the body's SHA-256), so a
+// client retrying an ambiguous failure is applied exactly once.
 //
 // Ingest appends are O(tail): sealed segments are immutable, their sorted
 // views are cached once and merged (never re-sorted) at query time, and a
@@ -193,7 +195,8 @@ type serverConfig struct {
 }
 
 // server holds the durable store and the request policy. All handlers are
-// safe for concurrent use: the store serializes mutations internally and
+// safe for concurrent use: the store serializes each mutation's commit
+// internally (decoding and snapshot writes run outside that lock) and
 // query snapshots are immutable.
 type server struct {
 	store    *durable.Store

@@ -5,6 +5,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Chaos is the failure-injection harness behind `simcloudd -chaos` and the
@@ -26,9 +27,12 @@ import (
 //	snaprename:<k>   die after renaming the k-th snapshot, before pruning
 //	snapprune:<k>    die after pruning for the k-th snapshot, before dir sync
 //
-// A Chaos value is used by one Store goroutine at a time (the Store holds its
-// mutex across every failpoint), so no internal locking is needed. The nil
-// *Chaos is inert: every hook is nil-safe and production code passes nil.
+// Failpoints fire from more than one goroutine: the apply and wal points
+// under the Store's commit mutex, the snapshot points while a checkpoint is
+// written with that mutex released. The counters therefore sit behind
+// Chaos's own mutex; the wal budget is only touched by WAL appends, which
+// the Store serializes. The nil *Chaos is inert: every hook is nil-safe
+// and production code passes nil.
 type Chaos struct {
 	// Exit terminates the process at a tripped failpoint. Defaults to
 	// os.Exit(13); in-process tests override it with a panic to simulate
@@ -36,7 +40,9 @@ type Chaos struct {
 	Exit func(point string)
 
 	walBytes int64 // >=0: partial-write budget for the next WAL record
-	counts   map[string]int
+
+	mu     sync.Mutex
+	counts map[string]int // guarded by mu
 }
 
 // Failpoint names accepted as `<point>:<count>` specs.
@@ -95,16 +101,26 @@ func (c *Chaos) hit(point string) {
 	if c == nil {
 		return
 	}
+	if c.trip(point) {
+		c.exit(point)
+	}
+}
+
+// trip counts one pass through point and reports whether it is the one
+// that dies.
+func (c *Chaos) trip(point string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	n, ok := c.counts[point]
 	if !ok {
-		return
+		return false
 	}
 	if n > 1 {
 		c.counts[point] = n - 1
-		return
+		return false
 	}
 	delete(c.counts, point)
-	c.exit(point)
+	return true
 }
 
 // walWrite writes one framed record to the WAL file, honoring an armed

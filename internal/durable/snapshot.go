@@ -1,6 +1,8 @@
 package durable
 
 import (
+	"bufio"
+	"bytes"
 	"compress/gzip"
 	"encoding/hex"
 	"encoding/json"
@@ -78,6 +80,16 @@ func parseSnapName(name string) (uint64, bool) {
 // older snapshots and WAL files whose every record is below snap.NextSeq.
 // Ordering is crash-safe — the new snapshot is durable (renamed + dir
 // synced) before anything is deleted, so every intermediate state recovers.
+//
+// It runs with the Store's commit mutex released (the caller holds only the
+// checkpoint mutex), so WAL appends and rotations continue meanwhile. That
+// is safe because snap was captured under the commit mutex: every record
+// appended since has seq >= snap.NextSeq, lives in a file pruneObsolete
+// keeps, and replays on top of this snapshot.
+//
+// The gzip level is BestSpeed: it compresses this data several times
+// faster than the default level for a somewhat larger file, and any level
+// reads back through the same gzip reader.
 func writeSnapshot(dir string, snap *snapshotFile, chaos *Chaos) error {
 	name := snapFileName(snap.NextSeq)
 	tmp := filepath.Join(dir, name+tmpSuffix)
@@ -85,8 +97,12 @@ func writeSnapshot(dir string, snap *snapshotFile, chaos *Chaos) error {
 	if err != nil {
 		return err
 	}
-	zw := gzip.NewWriter(f)
-	if err := json.NewEncoder(zw).Encode(snap); err != nil {
+	zw, err := gzip.NewWriterLevel(f, gzip.BestSpeed)
+	if err != nil {
+		f.Close()
+		return err
+	}
+	if err := encodeSnapshot(zw, snap); err != nil {
 		f.Close()
 		return fmt.Errorf("durable: encoding snapshot: %w", err)
 	}
@@ -114,6 +130,96 @@ func writeSnapshot(dir string, snap *snapshotFile, chaos *Chaos) error {
 	}
 	chaos.hit("snapprune")
 	return syncDir(dir)
+}
+
+// encodeSnapshot writes snap as the bytes json.NewEncoder(w).Encode(snap)
+// produces, but one field, job, series, staged entry and segment at a time
+// through a buffered writer, so a checkpoint never holds the whole document
+// in memory. The keys and omitempty rules mirror the struct tags of
+// snapshotFile and trace.SegStoreState; the differential test pins the
+// output to encoding/json's.
+func encodeSnapshot(w io.Writer, snap *snapshotFile) error {
+	e := &snapEncoder{w: bufio.NewWriterSize(w, 64<<10)}
+	e.enc = json.NewEncoder(&e.buf)
+	e.raw(`{"format":`)
+	e.value(snap.Format)
+	e.raw(`,"seg":`)
+	e.value(snap.Seg)
+	e.raw(`,"next_seq":`)
+	e.value(snap.NextSeq)
+	e.raw(`,"chain":`)
+	e.value(snap.Chain)
+	if len(snap.Applied) > 0 {
+		e.raw(`,"applied":`)
+		e.array(len(snap.Applied), func(i int) any { return &snap.Applied[i] })
+	}
+	e.raw(`,"state":`)
+	if st := snap.State; st == nil {
+		e.raw("null")
+	} else {
+		e.raw(`{"jobs":`)
+		if st.Jobs == nil {
+			e.raw("null")
+		} else {
+			e.array(len(st.Jobs), func(i int) any { return &st.Jobs[i] })
+		}
+		if len(st.Series) > 0 {
+			e.raw(`,"series":`)
+			e.array(len(st.Series), func(i int) any { return st.Series[i] })
+		}
+		if len(st.Staged) > 0 {
+			e.raw(`,"staged":`)
+			e.array(len(st.Staged), func(i int) any { return &st.Staged[i] })
+		}
+		if len(st.Segments) > 0 {
+			e.raw(`,"segments":`)
+			e.array(len(st.Segments), func(i int) any { return &st.Segments[i] })
+		}
+		e.raw("}")
+	}
+	e.raw("}\n")
+	if e.err != nil {
+		return e.err
+	}
+	return e.w.Flush()
+}
+
+// snapEncoder is encodeSnapshot's writer; the first error sticks and turns
+// every later write into a no-op.
+type snapEncoder struct {
+	w   *bufio.Writer
+	buf bytes.Buffer // one encoded value, reused
+	enc *json.Encoder
+	err error
+}
+
+func (e *snapEncoder) raw(s string) {
+	if e.err == nil {
+		_, e.err = e.w.WriteString(s)
+	}
+}
+
+// value writes v as encoding/json would inside a larger document: Encode's
+// output without its trailing newline.
+func (e *snapEncoder) value(v any) {
+	if e.err != nil {
+		return
+	}
+	e.buf.Reset()
+	if e.err = e.enc.Encode(v); e.err == nil {
+		_, e.err = e.w.Write(e.buf.Bytes()[:e.buf.Len()-1])
+	}
+}
+
+func (e *snapEncoder) array(n int, elem func(i int) any) {
+	e.raw("[")
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			e.raw(",")
+		}
+		e.value(elem(i))
+	}
+	e.raw("]")
 }
 
 // pruneObsolete deletes files recovery can no longer need. The two newest

@@ -14,17 +14,26 @@ import (
 )
 
 // Store wraps a trace.SegStore with write-ahead logging, snapshots and an
-// idempotency ledger. Every mutation follows the same protocol under one
-// mutex: validate and admit, append the operation to the WAL (fsync in sync
-// mode), then apply it to the in-memory store. The WAL append is the commit
-// point — an operation whose record reached disk replays on recovery even
-// if the process died before applying it; one that didn't is as if it never
-// happened, and the client's retry covers it.
+// idempotency ledger. Two mutexes split the work:
+//
+//   - mu covers only the commit. Every mutation admits, appends the
+//     operation to the WAL (fsync in sync mode) and applies it to the
+//     in-memory store under mu. The WAL append is the commit point — an
+//     operation whose record reached disk replays on recovery even if the
+//     process died before applying it; one that didn't is as if it never
+//     happened, and the client's retry covers it. Decoding an ingest body
+//     happens before mu is taken.
+//   - ckpt serializes checkpoints and is always taken before mu. A
+//     checkpoint captures the state under mu (ExportState, the ledger, the
+//     WAL position, a WAL flush) and then encodes, compresses, fsyncs,
+//     renames and prunes with mu released, so commits continue while the
+//     snapshot is written.
 //
 // Reads go straight to the SegStore (via Seg) under its own lock; queries
 // never wait on the WAL.
 type Store struct {
-	mu sync.Mutex
+	ckpt sync.Mutex
+	mu   sync.Mutex
 	// seg is written once in Open and read lock-free afterwards (Seg,
 	// Backlog): the pointer never changes and SegStore has its own lock.
 	seg     *trace.SegStore
@@ -187,11 +196,24 @@ func decodeBatchPayload(p []byte) (string, []byte, error) {
 
 // IngestBatch commits one ingest batch: decode, admit against MaxJobs, log,
 // apply. The batch ID makes it idempotent — a replayed ID returns the
-// recorded outcome with duplicate=true and changes nothing, which is what
-// lets the client retry blindly after an ambiguous failure. Decode failures
-// return *DecodeError (HTTP 400); admission failures *trace.CapacityError
-// (HTTP 507); neither is logged.
-func (s *Store) IngestBatch(id string, body []byte) (Outcome, bool, error) {
+// recorded outcome with duplicate=true and changes nothing, even if this
+// copy of the body is malformed, which is what lets the client retry
+// blindly after an ambiguous failure. Decode failures return *DecodeError
+// (HTTP 400); admission failures *trace.CapacityError (HTTP 507); neither is
+// logged. The batch that takes the store past Options.SnapshotJobs writes
+// the checkpoint before it returns, and a checkpoint error comes back with
+// its (committed) outcome.
+func (s *Store) IngestBatch(id string, body []byte) (out Outcome, dup bool, err error) {
+	// Decoding is most of a batch's CPU and touches no store state, so it
+	// runs before the commit lock.
+	ds, decErr := trace.ReadJSON(bytes.NewReader(body))
+	// Deferred before the unlock below, so it runs after mu is released.
+	checkpointDue := false
+	defer func() {
+		if checkpointDue {
+			err = s.autoCheckpoint()
+		}
+	}()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -200,9 +222,8 @@ func (s *Store) IngestBatch(id string, body []byte) (Outcome, bool, error) {
 	if out, ok := s.applied[id]; ok {
 		return out, true, nil
 	}
-	ds, err := trace.ReadJSON(bytes.NewReader(body))
-	if err != nil {
-		return Outcome{}, false, &DecodeError{Err: err}
+	if decErr != nil {
+		return Outcome{}, false, &DecodeError{Err: decErr}
 	}
 	if s.opts.MaxJobs > 0 {
 		if stored := s.seg.Len(); stored+len(ds.Jobs) > s.opts.MaxJobs {
@@ -219,14 +240,10 @@ func (s *Store) IngestBatch(id string, body []byte) (Outcome, bool, error) {
 	}
 	s.opts.Chaos.hit("apply")
 	s.seg.AppendDataset(ds)
-	out := Outcome{Seq: seq, Jobs: len(ds.Jobs)}
+	out = Outcome{Seq: seq, Jobs: len(ds.Jobs)}
 	s.applied[id] = out
 	s.dirty += len(ds.Jobs)
-	if s.opts.SnapshotJobs > 0 && s.dirty >= s.opts.SnapshotJobs {
-		if err := s.snapshotLocked(); err != nil {
-			return out, false, err
-		}
-	}
+	checkpointDue = s.checkpointDueLocked()
 	return out, false, nil
 }
 
@@ -283,17 +300,65 @@ func (s *Store) Compact() error {
 	return nil
 }
 
-// Snapshot forces a checkpoint now.
+// Snapshot forces a checkpoint now, waiting for one already in progress.
 func (s *Store) Snapshot() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("durable: store is closed")
-	}
-	return s.snapshotLocked()
+	s.ckpt.Lock()
+	defer s.ckpt.Unlock()
+	return s.checkpoint(false)
 }
 
-func (s *Store) snapshotLocked() error {
+func (s *Store) checkpointDueLocked() bool {
+	return s.opts.SnapshotJobs > 0 && s.dirty >= s.opts.SnapshotJobs
+}
+
+// autoCheckpoint writes the checkpoint a commit found due. If another
+// checkpoint is being written this batch skips it; that one already covers
+// most of what is dirty, and the next batch past the threshold retries.
+func (s *Store) autoCheckpoint() error {
+	if !s.ckpt.TryLock() {
+		return nil
+	}
+	defer s.ckpt.Unlock()
+	return s.checkpoint(true)
+}
+
+// checkpoint captures a snapshot under mu and writes it with mu released.
+// The caller holds ckpt. An automatic checkpoint (auto) is dropped if an
+// earlier one already reset the dirty count; a failed write restores the
+// count so the next batch retries.
+func (s *Store) checkpoint(auto bool) error {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		if auto {
+			return nil // Close wrote the final snapshot
+		}
+		return fmt.Errorf("durable: store is closed")
+	}
+	if auto && !s.checkpointDueLocked() {
+		s.mu.Unlock()
+		return nil
+	}
+	snap, jobs, err := s.captureLocked()
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if err := writeSnapshot(s.dir, snap, s.opts.Chaos); err != nil {
+		s.mu.Lock()
+		s.dirty += jobs
+		s.mu.Unlock()
+		return err
+	}
+	return nil
+}
+
+// captureLocked takes everything a snapshot needs while commits are
+// excluded: the store state, the idempotency ledger and the WAL position.
+// It returns the jobs the snapshot will cover beyond the previous one.
+// Records appended after the capture all have seq >= NextSeq, so they
+// replay on top of this snapshot and pruning never deletes them.
+func (s *Store) captureLocked() (*snapshotFile, int, error) {
 	applied := make([]AppliedBatch, 0, len(s.applied))
 	for id, out := range s.applied {
 		applied = append(applied, AppliedBatch{ID: id, Seq: out.Seq, Jobs: out.Jobs})
@@ -311,28 +376,33 @@ func (s *Store) snapshotLocked() error {
 	// records must not be lost from the page cache after their files are
 	// pruned, so flush the WAL first even in no-sync mode.
 	if err := s.w.Sync(); err != nil {
-		return err
+		return nil, 0, err
 	}
-	if err := writeSnapshot(s.dir, snap, s.opts.Chaos); err != nil {
-		return err
-	}
+	jobs := s.dirty
 	s.dirty = 0
-	return nil
+	return snap, jobs, nil
 }
 
 // Close drains the store: flush the WAL, write a final snapshot (making the
-// next Open a pure snapshot load), and close the log. Close never compacts
-// or seals — compaction changes summary merge order, and a drain must not
-// change any query result.
+// next Open a pure snapshot load), and close the log. It waits for a
+// checkpoint in progress. Close never compacts or seals — compaction
+// changes summary merge order, and a drain must not change any query
+// result.
 func (s *Store) Close() error {
+	s.ckpt.Lock()
+	defer s.ckpt.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
-	snapErr := s.snapshotLocked()
+	snap, _, snapErr := s.captureLocked()
 	closeErr := s.w.Close()
+	s.mu.Unlock()
+	if snapErr == nil {
+		snapErr = writeSnapshot(s.dir, snap, s.opts.Chaos)
+	}
 	if snapErr != nil {
 		return snapErr
 	}

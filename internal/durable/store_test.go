@@ -9,7 +9,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -88,6 +90,13 @@ func mustOpen(t *testing.T, dir string, opts Options) *Store {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}
 	return st
+}
+
+func mustIngest(t *testing.T, st *Store, id string, body []byte) {
+	t.Helper()
+	if _, dup, err := st.IngestBatch(id, body); err != nil || dup {
+		t.Fatalf("ingest %s: dup=%v err=%v", id, dup, err)
+	}
 }
 
 // TestStoreRecoveryAcrossRestarts: a store closed and reopened repeatedly,
@@ -441,4 +450,245 @@ func corruptNewestSnapshot(dir string) error {
 		return fmt.Errorf("no snapshots")
 	}
 	return os.Truncate(filepath.Join(dir, newest), 10)
+}
+
+// TestStoreDuplicateBeatsDecodeError: a known batch ID returns its recorded
+// outcome even when this copy of the body is malformed — the ledger, not
+// the body, decides a retry.
+func TestStoreDuplicateBeatsDecodeError(t *testing.T) {
+	st := mustOpen(t, t.TempDir(), Options{Sync: true})
+	defer st.Close()
+	want, _, err := st.IngestBatch("b", batchBody(t, 0, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, dup, err := st.IngestBatch("b", []byte(`{"jobs": [`))
+	if err != nil || !dup || got != want {
+		t.Fatalf("duplicate with malformed body: out=%+v dup=%v err=%v, want %+v dup=true", got, dup, err, want)
+	}
+}
+
+// TestStoreDecodeErrorLogsNothing: a fresh ID with a malformed body is a
+// *DecodeError and leaves the WAL untouched.
+func TestStoreDecodeErrorLogsNothing(t *testing.T) {
+	st := mustOpen(t, t.TempDir(), Options{Sync: true})
+	defer st.Close()
+	mustIngest(t, st, "ok", batchBody(t, 0, 5))
+	before := st.WALBytes()
+	var de *DecodeError
+	if _, dup, err := st.IngestBatch("fresh", []byte(`{"jobs": [`)); !errors.As(err, &de) || dup {
+		t.Fatalf("malformed body: dup=%v err=%v, want *DecodeError", dup, err)
+	}
+	if after := st.WALBytes(); after != before {
+		t.Fatalf("rejected batch wrote %d WAL bytes", after-before)
+	}
+}
+
+// TestStoreIngestDuringCheckpointWrite: while a checkpoint is being
+// written, another batch commits and acks — the snapshot write does not
+// hold the commit lock. The process then dies before the snapshot rename;
+// recovery must hold both batches exactly once.
+func TestStoreIngestDuringCheckpointWrite(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Sync: true, SnapshotJobs: 50}
+	bodyA, bodyB := batchBody(t, 0, 60), batchBody(t, 1000, 10)
+
+	var st *Store
+	armed := opts
+	armed.Chaos = testChaos(t, "snaptmp:1")
+	armed.Chaos.Exit = func(point string) {
+		acked := make(chan error, 1)
+		go func() {
+			_, _, err := st.IngestBatch("b", bodyB)
+			acked <- err
+		}()
+		select {
+		case err := <-acked:
+			if err != nil {
+				t.Errorf("ingest during checkpoint write: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("ingest did not ack within 5s while a checkpoint was being written")
+		}
+		panic(chaosDeath{point})
+	}
+	st = mustOpen(t, dir, armed)
+	died := func() (died bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(chaosDeath); !ok {
+					panic(r)
+				}
+				died = true
+			}
+		}()
+		_, _, err := st.IngestBatch("a", bodyA)
+		t.Fatalf("batch crossing the snapshot threshold returned (err=%v) instead of dying at snaptmp", err)
+		return false
+	}()
+	if !died || t.Failed() {
+		t.FailNow()
+	}
+
+	st = mustOpen(t, dir, opts)
+	defer st.Close()
+	ref := trace.NewSegStore(testSegCfg)
+	for _, b := range []struct {
+		id   string
+		body []byte
+	}{{"a", bodyA}, {"b", bodyB}} {
+		if out, dup, err := st.IngestBatch(b.id, b.body); err != nil || !dup {
+			t.Fatalf("batch %s after restart: out=%+v dup=%v err=%v, want recovered", b.id, out, dup, err)
+		}
+		ds, err := trace.ReadJSON(bytes.NewReader(b.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.AppendDataset(ds)
+	}
+	if a, b := fingerprint(t, st.Seg()), fingerprint(t, ref); a != b {
+		t.Fatal("recovered store diverged from the uninterrupted reference")
+	}
+}
+
+// TestStoreConcurrentOps runs ingest, telemetry, forced snapshots, seals and
+// automatic checkpoints from several goroutines at once (run it under
+// -race). The live store and the reopened one must both equal a reference
+// fed the same operations in WAL-sequence order.
+func TestStoreConcurrentOps(t *testing.T) {
+	dir := t.TempDir()
+	// One WAL file for the whole run, so the complete sequence order is
+	// still on disk at the end.
+	opts := Options{Sync: true, SnapshotJobs: 60, RotateBytes: 1 << 30}
+	st := mustOpen(t, dir, opts)
+
+	const ingesters, batches, jobs = 2, 12, 25
+	bodies := map[string][]byte{}
+	for g := 0; g < ingesters; g++ {
+		for k := 0; k < batches; k++ {
+			bodies[fmt.Sprintf("g%d-%d", g, k)] = batchBody(t, int64(g*batches+k)*100, jobs)
+		}
+	}
+	// Telemetry for jobs that may arrive before or after it: a join or a
+	// parked record, depending on the interleaving.
+	type tel struct {
+		per []metrics.MetricSummaries
+		ts  *trace.TimeSeries
+	}
+	telemetry := map[int64]tel{}
+	for k := int64(0); k < 20; k++ {
+		id := k * 150
+		telemetry[id] = tel{
+			per: []metrics.MetricSummaries{{metrics.SMUtil: {Min: 1, Mean: float64(k), Max: 99}}},
+			ts:  &trace.TimeSeries{JobID: id, IntervalSec: 0.5},
+		}
+	}
+	const seals, snapshots = 5, 5
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for g := 0; g < ingesters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < batches; k++ {
+				id := fmt.Sprintf("g%d-%d", g, k)
+				if _, dup, err := st.IngestBatch(id, bodies[id]); err != nil || dup {
+					errs <- fmt.Errorf("ingest %s: dup=%v err=%v", id, dup, err)
+				}
+			}
+		}(g)
+	}
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for id := int64(0); id < 20*150; id += 150 {
+			if err := st.StageTelemetry(id, telemetry[id].per, telemetry[id].ts); err != nil {
+				errs <- err
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < snapshots; i++ {
+			if err := st.Snapshot(); err != nil {
+				errs <- err
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < seals; i++ {
+			if err := st.SealTail(); err != nil {
+				errs <- err
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	live := fingerprint(t, st.Seg())
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rebuild the reference from the test's own inputs, ordered by the WAL.
+	ref := trace.NewSegStore(testSegCfg)
+	seenBatches, seenTel, seenSeals := map[string]bool{}, map[int64]bool{}, 0
+	_, err := replayWAL(dir, 0, Chain{}, func(rec Record) error {
+		switch rec.Kind {
+		case KindBatch:
+			id, _, err := decodeBatchPayload(rec.Payload)
+			if err != nil {
+				return err
+			}
+			if seenBatches[id] || bodies[id] == nil {
+				return fmt.Errorf("batch %q logged twice or never sent", id)
+			}
+			seenBatches[id] = true
+			ds, err := trace.ReadJSON(bytes.NewReader(bodies[id]))
+			if err != nil {
+				return err
+			}
+			ref.AppendDataset(ds)
+		case KindTelemetry:
+			var tr telemetryRecord
+			if err := json.Unmarshal(rec.Payload, &tr); err != nil {
+				return err
+			}
+			in, ok := telemetry[tr.JobID]
+			if seenTel[tr.JobID] || !ok {
+				return fmt.Errorf("telemetry for job %d logged twice or never sent", tr.JobID)
+			}
+			seenTel[tr.JobID] = true
+			ref.StageTelemetry(tr.JobID, in.per, in.ts)
+		case KindSeal:
+			seenSeals++
+			ref.SealTail()
+		default:
+			return fmt.Errorf("unexpected record kind %d", rec.Kind)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seenBatches) != len(bodies) || len(seenTel) != len(telemetry) || seenSeals != seals {
+		t.Fatalf("WAL holds %d/%d batches, %d/%d telemetry, %d/%d seals",
+			len(seenBatches), len(bodies), len(seenTel), len(telemetry), seenSeals, seals)
+	}
+	want := fingerprint(t, ref)
+	if live != want {
+		t.Fatal("live store diverged from the WAL-ordered reference")
+	}
+	st = mustOpen(t, dir, opts)
+	defer st.Close()
+	if got := fingerprint(t, st.Seg()); got != want {
+		t.Fatal("reopened store diverged from the WAL-ordered reference")
+	}
 }

@@ -180,10 +180,12 @@ func TestMutationsDurable(t *testing.T) {
 
 	t.Run("lockguard catches missing lock in IngestBatch", func(t *testing.T) {
 		pkg := loadMutated(t, durableDir, durablePath, map[string]string{
-			"func (s *Store) IngestBatch(id string, body []byte) (Outcome, bool, error) {\n" +
-				"	s.mu.Lock()\n" +
-				"	defer s.mu.Unlock()\n": "" +
-				"func (s *Store) IngestBatch(id string, body []byte) (Outcome, bool, error) {\n",
+			"	s.mu.Lock()\n" +
+				"	defer s.mu.Unlock()\n" +
+				"	if s.closed {\n" +
+				"		return Outcome{}, false,": "" +
+				"	if s.closed {\n" +
+				"		return Outcome{}, false,",
 		})
 		requireFinding(t, pkg, lint.LockGuard, "without holding mu")
 	})
