@@ -18,7 +18,8 @@ vet:
 # Static analysis gate (PR 5): go vet plus the project's own analyzers
 # (internal/lint driven by cmd/simlint) — wall-clock reads, RNG provenance,
 # map-order output, float accumulation order, discarded codec/render errors,
-# naive-spec mirroring, and lite vet passes. Zero findings required.
+# lock, WAL-ordering, handler and close discipline, and lite vet passes.
+# Zero findings required.
 # Suppress an intentional exception with `//lint:allow <analyzer> <reason>`.
 # The opt-in struct-padding report (not part of the gate, since field order
 # can be wire-visible) is: $(GO) run ./cmd/simlint -only fieldalign ./...

@@ -10,9 +10,10 @@
 // TryAllocate rejects infeasible requests in O(1) against the aggregates and
 // places feasible ones by walking only the nodes that can contribute, in
 // exactly the order the original full-scan algorithm visited them — the
-// indexed and naive placements are node-for-node identical (enforced by
-// EnableAudit and the allocation-equivalence tests), so scheduling outcomes
-// and golden figures are unchanged by the index.
+// indexed and naive placements are node-for-node identical (the package's
+// allocation-equivalence tests replay randomized request streams against the
+// full-scan planner kept in naive_test.go), so scheduling outcomes and golden
+// figures are unchanged by the index.
 package cluster
 
 import (
@@ -227,9 +228,6 @@ type Cluster struct {
 
 	// planBuf is reusable scratch for the plan-then-commit allocation paths.
 	planBuf []planShare
-	// audit cross-checks every allocation against the naive full-scan
-	// reference; see EnableAudit.
-	audit bool
 }
 
 // planShare is one node's contribution in a not-yet-committed placement.
@@ -270,13 +268,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	return c, nil
 }
-
-// EnableAudit makes every TryAllocate cross-check the indexed placement
-// against the naive full-scan reference implementation (and the cluster
-// invariants) before committing, turning any divergence into a hard error.
-// The scheduler property tests run with this on; production runs leave it
-// off — the audit re-scans every node per allocation.
-func (c *Cluster) EnableAudit() { c.audit = true }
 
 // Config returns the cluster's configuration.
 func (c *Cluster) Config() Config { return c.cfg }
@@ -361,14 +352,6 @@ func (c *Cluster) TryAllocate(req Request) (*Allocation, error) {
 	if req.GPUs < 0 || req.Cores < 0 || req.CoresPerGPU < 0 {
 		return nil, fmt.Errorf("cluster: negative resource in request %+v", req)
 	}
-	if c.audit {
-		return c.auditAllocate(req)
-	}
-	return c.tryAllocate(req)
-}
-
-// tryAllocate dispatches to the four placement paths and records the grant.
-func (c *Cluster) tryAllocate(req Request) (*Allocation, error) {
 	var alloc *Allocation
 	var err error
 	if req.GPUs > 0 && req.Exclusive {
@@ -385,47 +368,6 @@ func (c *Cluster) tryAllocate(req Request) (*Allocation, error) {
 	}
 	c.allocations[req.JobID] = alloc
 	return alloc, nil
-}
-
-// auditAllocate runs the naive full-scan planner, then the indexed path, and
-// fails hard on any divergence in outcome or placement.
-func (c *Cluster) auditAllocate(req Request) (*Allocation, error) {
-	wantShares, wantErr := c.naivePlan(req)
-	alloc, err := c.tryAllocate(req)
-	if (err == nil) != (wantErr == nil) {
-		return nil, fmt.Errorf("cluster: audit divergence for job %d: indexed err=%v, naive err=%v",
-			req.JobID, err, wantErr)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if !sharesEqual(alloc.Shares, wantShares) {
-		return nil, fmt.Errorf("cluster: audit divergence for job %d:\nindexed: %+v\nnaive:   %+v",
-			req.JobID, alloc.Shares, wantShares)
-	}
-	if ierr := c.CheckInvariants(); ierr != nil {
-		return nil, fmt.Errorf("cluster: audit after job %d: %w", req.JobID, ierr)
-	}
-	return alloc, nil
-}
-
-// sharesEqual compares two placements node-for-node, device-for-device.
-func sharesEqual(a, b []NodeShare) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Node != b[i].Node || a[i].Cores != b[i].Cores || a[i].MemGB != b[i].MemGB ||
-			len(a[i].GPUIDs) != len(b[i].GPUIDs) {
-			return false
-		}
-		for j := range a[i].GPUIDs {
-			if a[i].GPUIDs[j] != b[i].GPUIDs[j] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // allocateGPUJob grants a GPU job with dense placement, enumerating only
@@ -855,8 +797,8 @@ func (c *Cluster) LiveAllocations() int { return len(c.allocations) }
 // bounds, no device allocated to an unknown job, exclusive nodes fully
 // drained, down nodes empty — and that the capacity index (per-node
 // counters, bucket/set memberships, shared aggregates, availability
-// counters) matches a from-scratch recomputation. It is called by tests and,
-// under EnableAudit, after every allocation.
+// counters) matches a from-scratch recomputation. It is called by tests; the
+// package's allocation-equivalence tests run it after every allocation.
 func (c *Cluster) CheckInvariants() error {
 	wantGPUs, wantCores := 0, 0
 	wantDownNodes, wantDownGPUs := 0, 0

@@ -5,16 +5,19 @@ import (
 	"testing"
 )
 
-// TestAllocationEquivalenceRandomized drives an audited cluster (every
-// TryAllocate cross-checks the indexed placement against the pre-index
-// full-scan planner and re-verifies all invariants) through randomized
-// request/release streams. Any node-for-node divergence between the indexed
-// and naive placements — or any index drift — surfaces as a hard error.
+// TestAllocationEquivalenceRandomized drives a cluster through randomized
+// request/release streams, every grant going through auditAllocate (the
+// indexed placement cross-checked against the pre-index full-scan planner,
+// then every invariant re-verified). Any node-for-node divergence between
+// the indexed and naive placements — or any index drift — surfaces as a hard
+// error. The production Supercloud shape is one of the configs, so the
+// scheduler's own machine is covered at its full node count.
 func TestAllocationEquivalenceRandomized(t *testing.T) {
 	cfgs := []Config{
 		{Nodes: 6, CoresPerNode: 40, MemGBPerNode: 384, GPUsPerNode: 2, NodesPerRack: 4},
 		{Nodes: 9, CoresPerNode: 16, MemGBPerNode: 64, GPUsPerNode: 4, NodesPerRack: 3},
 		{Nodes: 70, CoresPerNode: 40, MemGBPerNode: 384, GPUsPerNode: 2, NodesPerRack: 16},
+		SupercloudConfig(),
 	}
 	for seed := int64(1); seed <= 6; seed++ {
 		for ci, cfg := range cfgs {
@@ -22,7 +25,6 @@ func TestAllocationEquivalenceRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.EnableAudit()
 			rng := rand.New(rand.NewSource(seed*100 + int64(ci)))
 			var live []int64
 			nextID := int64(1)
@@ -40,7 +42,7 @@ func TestAllocationEquivalenceRandomized(t *testing.T) {
 				}
 				req := randomRequest(rng, cfg, nextID)
 				nextID++
-				_, err := c.TryAllocate(req)
+				_, err := auditAllocate(c, req)
 				switch err.(type) {
 				case nil:
 					live = append(live, req.JobID)

@@ -146,7 +146,6 @@ func TestStateEquivalenceRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.EnableAudit()
 		rng := rand.New(rand.NewSource(seed))
 		var live []int64
 		nextID := int64(1)
@@ -181,7 +180,7 @@ func TestStateEquivalenceRandomized(t *testing.T) {
 			default:
 				req := randomRequest(rng, cfg, nextID)
 				nextID++
-				_, err := c.TryAllocate(req)
+				_, err := auditAllocate(c, req)
 				switch err.(type) {
 				case nil:
 					live = append(live, req.JobID)

@@ -39,7 +39,7 @@ func diffReports(t *testing.T, label string, want, got *Report) {
 
 // TestColumnarMatchesNaive checks the tentpole invariant: the columnar
 // implementations produce a Report value-identical to the preserved
-// row-walking implementations in naive.go.
+// row-walking implementations in naive_test.go.
 func TestColumnarMatchesNaive(t *testing.T) {
 	ds := equivDataset(t)
 	want := naiveCharacterize(ds)

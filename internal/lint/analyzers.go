@@ -5,7 +5,7 @@ import (
 	"strings"
 )
 
-// All returns every registered analyzer in stable order: the six
+// All returns every registered analyzer in stable order: the five
 // syntactic project invariant checks first, then the CFG/dataflow
 // analyzers (PR 10), then the vet-family passes, then the opt-in
 // informational ones.
@@ -16,7 +16,6 @@ func All() []*Analyzer {
 		MapOrder,
 		FloatAccum,
 		ErrSink,
-		SpecMirror,
 		LockGuard,
 		CommitOrder,
 		HTTPTerm,

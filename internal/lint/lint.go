@@ -3,13 +3,13 @@
 //
 // The repository's determinism and correctness invariants — seeded RNG
 // substreams only, no wall-clock reads inside the simulation, deterministic
-// iteration and accumulation order, finiteness-validated codecs, audited
-// naive/optimized spec pairs — are enforced at runtime by golden-figure and
-// bit-identity tests. Those tests only fire after a regression has already
-// been written. The analyzers in this package move the same rules to build
-// time: `make lint` (and therefore `make check`) fails on the first commit
-// that reads the wall clock from a simulation package or appends to a slice
-// while ranging over a map.
+// iteration and accumulation order, finiteness-validated codecs — are
+// enforced at runtime by golden-figure and bit-identity tests. Those tests
+// only fire after a regression has already been written. The analyzers in
+// this package move the same rules to build time: `make lint` (and
+// therefore `make check`) fails on the first commit that reads the wall
+// clock from a simulation package or appends to a slice while ranging over
+// a map.
 //
 // x/tools itself is not vendored (the build must work fully offline, and the
 // module tree is dependency-free by policy), so the framework re-implements
@@ -55,13 +55,8 @@ type Pass struct {
 	Path string
 	// Files are the package's non-test files, fully type-checked.
 	Files []*ast.File
-	// TestFiles are the package's _test.go files, parsed but not
-	// type-checked. Only specmirror reads them (to verify that every naive
-	// reference function is anchored by an equivalence test); name-based
-	// inspection is sufficient for that.
-	TestFiles []*ast.File
-	Pkg       *types.Package
-	Info      *types.Info
+	Pkg   *types.Package
+	Info  *types.Info
 	// Sizes is the gc/amd64 layout model, used by fieldalign.
 	Sizes types.Sizes
 
@@ -94,15 +89,14 @@ func Run(pkg *Package, analyzers []*Analyzer, knownNames map[string]bool) ([]Dia
 	for _, a := range analyzers {
 		executed[a.Name] = true
 		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Path:      pkg.Path,
-			Files:     pkg.Files,
-			TestFiles: pkg.TestFiles,
-			Pkg:       pkg.Types,
-			Info:      pkg.Info,
-			Sizes:     pkg.Sizes,
-			report:    func(d Diagnostic) { diags = append(diags, d) },
+			Analyzer: a,
+			Fset:     pkg.Fset,
+			Path:     pkg.Path,
+			Files:    pkg.Files,
+			Pkg:      pkg.Types,
+			Info:     pkg.Info,
+			Sizes:    pkg.Sizes,
+			report:   func(d Diagnostic) { diags = append(diags, d) },
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)

@@ -16,7 +16,6 @@
 package linttest
 
 import (
-	"go/ast"
 	"path/filepath"
 	"regexp"
 	"runtime"
@@ -120,12 +119,11 @@ type want struct {
 
 var wantRe = regexp.MustCompile("`([^`]*)`")
 
-// parseWants extracts want-comments from every fixture file (including test
-// files: specmirror fixtures carry equivalence tests).
+// parseWants extracts want-comments from every fixture file.
 func parseWants(t *testing.T, pkg *lint.Package) map[posKey][]*want {
 	t.Helper()
 	wants := make(map[posKey][]*want)
-	for _, f := range append(append([]*ast.File{}, pkg.Files...), pkg.TestFiles...) {
+	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				i := strings.Index(c.Text, "// want ")

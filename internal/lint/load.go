@@ -19,12 +19,9 @@ type Package struct {
 	Path  string // import path
 	Dir   string
 	Files []*ast.File // non-test files, type-checked
-	// TestFiles are parsed (with comments) but not type-checked; see
-	// Pass.TestFiles for why that is sufficient.
-	TestFiles []*ast.File
-	Types     *types.Package
-	Info      *types.Info
-	Sizes     types.Sizes
+	Types *types.Package
+	Info  *types.Info
+	Sizes types.Sizes
 }
 
 // Loader parses and type-checks packages without the go/packages machinery.
@@ -114,31 +111,20 @@ func (l *Loader) Load(path string) (*Package, error) {
 	if !ok {
 		return nil, fmt.Errorf("lint: cannot resolve %q to a directory", path)
 	}
-	srcNames, testNames, err := goFileNames(dir)
+	names, err := goFileNames(dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(srcNames) == 0 {
+	if len(names) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-	parse := func(names []string) ([]*ast.File, error) {
-		files := make([]*ast.File, 0, len(names))
-		for _, name := range names {
-			f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
-			if err != nil {
-				return nil, err
-			}
-			files = append(files, f)
+	files := make([]*ast.File, 0, len(names))
+	for _, name := range names {
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
 		}
-		return files, nil
-	}
-	files, err := parse(srcNames)
-	if err != nil {
-		return nil, err
-	}
-	testFiles, err := parse(testNames)
-	if err != nil {
-		return nil, err
+		files = append(files, f)
 	}
 
 	info := &types.Info{
@@ -153,40 +139,36 @@ func (l *Loader) Load(path string) (*Package, error) {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
 	p := &Package{
-		Fset:      l.Fset,
-		Path:      path,
-		Dir:       dir,
-		Files:     files,
-		TestFiles: testFiles,
-		Types:     tpkg,
-		Info:      info,
-		Sizes:     l.sizes,
+		Fset:  l.Fset,
+		Path:  path,
+		Dir:   dir,
+		Files: files,
+		Types: tpkg,
+		Info:  info,
+		Sizes: l.sizes,
 	}
 	l.pkgs[path] = p
 	return p, nil
 }
 
-// goFileNames splits a directory's Go files into sources and tests, sorted
-// so parse order (and therefore diagnostic order) is deterministic.
-func goFileNames(dir string) (src, test []string, err error) {
+// goFileNames lists a directory's non-test Go files, sorted so parse order
+// (and therefore diagnostic order) is deterministic.
+func goFileNames(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	var src []string
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") ||
+			strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		if strings.HasSuffix(name, "_test.go") {
-			test = append(test, name)
-		} else {
-			src = append(src, name)
-		}
+		src = append(src, name)
 	}
 	sort.Strings(src)
-	sort.Strings(test)
-	return src, test, nil
+	return src, nil
 }
 
 // ModulePackages walks the module rooted at modRoot and returns the import
@@ -205,7 +187,7 @@ func ModulePackages(modRoot, modPath string) ([]string, error) {
 		if p != modRoot && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
 		}
-		src, _, err := goFileNames(p)
+		src, err := goFileNames(p)
 		if err != nil {
 			return err
 		}

@@ -32,7 +32,7 @@ func TestSelectDefaults(t *testing.T) {
 	if has["fieldalign"] {
 		t.Error("opt-in fieldalign must not run by default")
 	}
-	for _, n := range []string{"nowallclock", "seedflow", "maporder", "floataccum", "errsink", "specmirror"} {
+	for _, n := range []string{"nowallclock", "seedflow", "maporder", "floataccum", "errsink"} {
 		if !has[n] {
 			t.Errorf("default set is missing %s", n)
 		}

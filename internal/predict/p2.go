@@ -156,21 +156,3 @@ func (q *P2Quantile) Value() (float64, bool) {
 
 // N returns the number of observations.
 func (q *P2Quantile) N() int { return q.n }
-
-// validate is used by tests: markers must stay ordered and finite (for n<5,
-// the sorted bootstrap prefix must be ordered).
-func (q *P2Quantile) validate() bool {
-	limit := 5
-	if q.n < 5 {
-		limit = q.n
-	}
-	for i := 0; i < limit; i++ {
-		if math.IsNaN(q.heights[i]) {
-			return false
-		}
-		if i > 0 && q.heights[i] < q.heights[i-1] {
-			return false
-		}
-	}
-	return true
-}

@@ -157,3 +157,21 @@ func TestP2ValueAllocFree(t *testing.T) {
 		t.Fatalf("Value allocates %v per call on the small-sample path", allocs)
 	}
 }
+
+// validate checks the estimator's state: markers must stay ordered and
+// finite (for n<5, the sorted bootstrap prefix must be ordered).
+func (q *P2Quantile) validate() bool {
+	limit := 5
+	if q.n < 5 {
+		limit = q.n
+	}
+	for i := 0; i < limit; i++ {
+		if math.IsNaN(q.heights[i]) {
+			return false
+		}
+		if i > 0 && q.heights[i] < q.heights[i-1] {
+			return false
+		}
+	}
+	return true
+}

@@ -3,6 +3,8 @@ package sharing
 import (
 	"testing"
 
+	"repro/internal/lifecycle"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -106,4 +108,23 @@ func TestSlowTierBusyFrac(t *testing.T) {
 	if f < 0 || f > 0.3 {
 		t.Fatalf("slow-tier busy fraction = %v", f)
 	}
+}
+
+// slowTierBusyFrac is the mean SM busy fraction of the routed categories.
+func slowTierBusyFrac(ds *trace.Dataset, plan TierPlan) float64 {
+	slowSet := map[trace.Category]bool{}
+	for _, c := range plan.SlowTierCategories {
+		slowSet[c] = true
+	}
+	var sum, n float64
+	for _, j := range ds.Columns().GPU {
+		if slowSet[lifecycle.Classify(j)] {
+			sum += j.GPU[metrics.SMUtil].Mean / 100
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / n
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/lifecycle"
-	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -127,24 +126,4 @@ func ReliabilityStudy(ds *trace.Dataset, plan ReliabilityPlan) (ReliabilityResul
 	res.NetSavingsUSD = (res.BaselineCapexUSD - res.CapexUSD) - res.LostGPUHours*hourlyCost
 	res.Worthwhile = res.NetSavingsUSD > 0
 	return res, nil
-}
-
-// slowTierBusyFrac is a helper kept for tests: the mean SM busy fraction of
-// the routed categories.
-func slowTierBusyFrac(ds *trace.Dataset, plan TierPlan) float64 {
-	slowSet := map[trace.Category]bool{}
-	for _, c := range plan.SlowTierCategories {
-		slowSet[c] = true
-	}
-	var sum, n float64
-	for _, j := range ds.Columns().GPU {
-		if slowSet[lifecycle.Classify(j)] {
-			sum += j.GPU[metrics.SMUtil].Mean / 100
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / n
 }

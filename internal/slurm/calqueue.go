@@ -9,10 +9,10 @@ package slurm
 //
 // Correctness does not depend on the bucket geometry: events carry a unique
 // sequence number, so the order `event.before` defines is total, and any
-// correct priority queue — this one, the heap spec in naive.go — pops the
-// exact same sequence. The differential harness (differential_test.go) and
-// the fuzz target (FuzzCalQueue) prove that equivalence; Config.auditEvents
-// re-checks it pop-by-pop at runtime.
+// correct priority queue — this one, the heap spec in naive_test.go — pops
+// the exact same sequence. The differential harness (differential_test.go),
+// the lockstep audit tests, which re-check it pop by pop through a whole
+// run, and the fuzz target (FuzzCalQueue) prove that equivalence.
 //
 // Geometry: nbuckets is a power of two near half the event count (about two
 // events per bucket) and the bucket width spreads the live time span over

@@ -2,13 +2,13 @@ package slurm
 
 // The differential equivalence harness: every simulation is run twice, once
 // on the calendar queue (production) and once on the container/heap spec in
-// naive.go, over a matrix of seeds × workload scales × fault plans, and the
-// two runs must agree byte for byte — identical Stats (including the event
-// count), identical per-job results down to GPU device lists, and identical
-// serialized datasets. Because event sequence numbers make the event order
-// total, ANY divergence means one of the queues violated the ordering
-// contract; this harness is what makes the calendar queue's speedup
-// trustworthy.
+// naive_test.go, over a matrix of seeds × workload scales × fault plans, and
+// the two runs must agree byte for byte — identical Stats (including the
+// event count), identical per-job results down to GPU device lists, and
+// identical serialized datasets. Because event sequence numbers make the
+// event order total, ANY divergence means one of the queues violated the
+// ordering contract; this harness is what makes the calendar queue's
+// speedup trustworthy.
 
 import (
 	"bytes"
@@ -92,14 +92,16 @@ func diffPopulation(t *testing.T, c diffCase) []workload.JobSpec {
 	return gen.GenerateSpecs()
 }
 
-// runQueue executes one full run on the given queue implementation and
-// returns everything the comparison needs, including the serialized dataset.
-func runQueue(t *testing.T, cfg Config, specs []workload.JobSpec) (map[int64]*Result, Stats, []byte) {
+// runQueue executes one full run on the given queue implementation (nil:
+// the calendar queue) and returns everything the comparison needs, including
+// the serialized dataset.
+func runQueue(t *testing.T, cfg Config, newEvents func([]event) eventQueue, specs []workload.JobSpec) (map[int64]*Result, Stats, []byte) {
 	t.Helper()
 	sim, err := NewSimulator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sim.newEvents = newEvents
 	res, st, err := sim.Run(specs)
 	if err != nil {
 		t.Fatal(err)
@@ -175,10 +177,8 @@ func TestDifferentialHeapVsCalendar(t *testing.T) {
 			specs := diffPopulation(t, c)
 			specs, _ = Feasible(cfg, specs)
 
-			specCfg := cfg
-			specCfg.specEventQueue = true
-			specRes, specSt, specJSON := runQueue(t, specCfg, specs)
-			calRes, calSt, calJSON := runQueue(t, cfg, specs)
+			specRes, specSt, specJSON := runQueue(t, cfg, naiveEventQueue, specs)
+			calRes, calSt, calJSON := runQueue(t, cfg, nil, specs)
 
 			if specSt != calSt {
 				t.Errorf("stats diverged:\n heap spec %+v\n calendar  %+v", specSt, calSt)
@@ -205,10 +205,14 @@ func TestAuditEventsRunsClean(t *testing.T) {
 	cfg.Cluster.Nodes = c.nodes
 	cfg.Faults = c.plan
 	cfg.FaultSeed = c.seed
-	cfg.auditEvents = true
 	specs := diffPopulation(t, c)
 	specs, _ = Feasible(cfg, specs)
-	if _, st, err := Simulate(cfg, specs); err != nil {
+	sim, err := NewSimulator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.newEvents = auditEventQueue
+	if _, st, err := sim.Run(specs); err != nil {
 		t.Fatal(err)
 	} else if st.EventsProcessed == 0 {
 		t.Fatal("audit run processed zero events")
@@ -256,13 +260,13 @@ func TestOutageAtFinishInstantOrdersIdentically(t *testing.T) {
 	cfg.Cluster.Nodes = 4
 	cfg.Faults = faults.Plan{NodeCrashMTBFHours: 100, MeanRepairHours: 1}
 	cfg.FaultSeed = 3
-	cfg.auditEvents = true
 	specs := diffPopulation(t, diffCase{seed: 3, scale: 0.005})
 	specs, _ = Feasible(cfg, specs)
 	sim, err := NewSimulator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sim.newEvents = auditEventQueue
 	if _, _, err := sim.RunContext(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}

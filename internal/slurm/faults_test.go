@@ -197,7 +197,6 @@ func TestCheckpointReducesLostWork(t *testing.T) {
 func TestNodeCrashAvailability(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cluster = smallCluster()
-	cfg.AuditPlacement = true
 	cfg.Faults = faults.Plan{NodeCrashMTBFHours: 6, MeanRepairHours: 1}
 	cfg.FaultSeed = 5
 	cfg.Requeue = RequeuePolicy{MaxRetries: 100, HoldSec: 30, HoldBackoff: 2}
@@ -257,7 +256,6 @@ func TestNodeCrashAvailability(t *testing.T) {
 func TestNodeDrainIsGraceful(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cluster = smallCluster()
-	cfg.AuditPlacement = true
 	cfg.Faults = faults.Plan{NodeDrainMTBFHours: 8, MeanRepairHours: 0.5}
 	cfg.FaultSeed = 2
 	var specs []workload.JobSpec

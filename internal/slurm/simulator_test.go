@@ -48,6 +48,9 @@ func mkCPUSpec(id int64, submit, run float64, cores int, exclusive bool) workloa
 	}
 }
 
+// runSim runs specs to completion and verifies the cluster's capacity index
+// and conservation invariants once the run ends. Per-grant placement
+// equivalence is a cluster-package property (its audited randomized tests).
 func runSim(t *testing.T, cfg Config, specs []workload.JobSpec) (*Simulator, map[int64]*Result, Stats) {
 	t.Helper()
 	sim, err := NewSimulator(cfg)
@@ -57,6 +60,9 @@ func runSim(t *testing.T, cfg Config, specs []workload.JobSpec) (*Simulator, map
 	res, st, err := sim.Run(specs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := sim.cluster.CheckInvariants(); err != nil {
+		t.Fatalf("cluster invariants after the run: %v", err)
 	}
 	return sim, res, st
 }

@@ -115,35 +115,3 @@ func (m HostLoadModel) HostLoadDigest(spec *JobSpec) metrics.SummaryRecord {
 	}
 	return rec
 }
-
-// HostLoadSummary computes the 10-second-cadence host-CPU digest of a job
-// by sampling — the §II collection path, used by tests to cross-check the
-// analytic digest.
-func (m HostLoadModel) HostLoadSummary(spec *JobSpec, intervalSec float64, rng *dist.RNG) (min, mean, max float64) {
-	if intervalSec <= 0 {
-		intervalSec = 10
-	}
-	n := int(spec.RunSec / intervalSec)
-	if n < 1 {
-		n = 1
-	}
-	first := true
-	var sum float64
-	for k := 0; k < n; k++ {
-		t := (float64(k) + 0.5) * intervalSec
-		v := m.SampleHostLoad(spec, t, rng)
-		sum += v
-		if first {
-			min, max = v, v
-			first = false
-			continue
-		}
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return min, sum / float64(n), max
-}

@@ -48,7 +48,7 @@ func TestHostLoadDigestMatchesSampling(t *testing.T) {
 	if !digest.Valid() {
 		t.Fatalf("digest invalid: %+v", digest)
 	}
-	_, sampledMean, _ := m.HostLoadSummary(spec, 10, dist.New(1))
+	_, sampledMean, _ := m.hostLoadSummary(spec, 10, dist.New(1))
 	if math.Abs(digest.Mean-sampledMean) > 3 {
 		t.Fatalf("analytic mean %v vs sampled %v", digest.Mean, sampledMean)
 	}
@@ -87,4 +87,36 @@ func TestHostLoadSupportsColocationClaim(t *testing.T) {
 
 func gpuLevel(sm float64) gpu.Utilization {
 	return gpu.Utilization{SMPct: sm}
+}
+
+// hostLoadSummary computes the 10-second-cadence host-CPU digest of a job
+// by sampling — the §II collection path the analytic HostLoadDigest is
+// cross-checked against.
+func (m HostLoadModel) hostLoadSummary(spec *JobSpec, intervalSec float64, rng *dist.RNG) (min, mean, max float64) {
+	if intervalSec <= 0 {
+		intervalSec = 10
+	}
+	n := int(spec.RunSec / intervalSec)
+	if n < 1 {
+		n = 1
+	}
+	first := true
+	var sum float64
+	for k := 0; k < n; k++ {
+		t := (float64(k) + 0.5) * intervalSec
+		v := m.SampleHostLoad(spec, t, rng)
+		sum += v
+		if first {
+			min, max = v, v
+			first = false
+			continue
+		}
+		if v < min {
+			min = v
+		}
+		if v > max {
+			max = v
+		}
+	}
+	return min, sum / float64(n), max
 }
