@@ -57,10 +57,12 @@ race:
 chaos:
 	SIMCLOUDD_CHAOS_KILLS=50 $(GO) test -count=1 -run TestChaosKillRecovery -v -timeout 30m ./cmd/simcloudd
 
-# Short fuzz session over every trace codec target, plus the calendar event
-# queue cross-checked against the heap spec (PR 6) and the P² quantile
-# estimator's invariants under arbitrary small/tied samples (PR 7).
+# Short fuzz session over every trace codec target, the whole replay
+# pipeline (decode → replay → simulate → characterize → render), plus the
+# calendar event queue cross-checked against the heap spec (PR 6) and the P²
+# quantile estimator's invariants under arbitrary small/tied samples (PR 7).
 fuzz:
+	$(GO) test . -fuzz FuzzPipeline -fuzztime 30s
 	$(GO) test ./internal/trace -fuzz FuzzReadCSV -fuzztime 30s
 	$(GO) test ./internal/trace -fuzz FuzzReadJSON -fuzztime 30s
 	$(GO) test ./internal/trace -fuzz FuzzDatasetRoundTrip -fuzztime 30s
@@ -72,10 +74,9 @@ fuzz:
 # workload once at seed 1, 10 s of work each, one JSON result line per
 # workload with its end-to-end metrics and "correct". Add `--trace 1` to a
 # run for the per-layer breakdown; compare against another checkout with
-# `bash _perfbench/run.sh ab --parent <dir> --pairs 10`. The committed
-# BENCH_PR*.json and bench/baseline_*.json files are frozen records of
-# earlier `go test -bench` runs that EXPERIMENTS.md cites, no longer
-# regenerated.
+# `bash _perfbench/run.sh ab --parent <dir> --pairs 10`. The earlier
+# `go test -bench` records (BENCH_PR*.json, bench/baseline_*.json) live in
+# git history at the commits EXPERIMENTS.md names.
 BENCH_WORKLOADS = sim-paper sim-contended ingest ingest-query
 
 bench:

@@ -1,8 +1,9 @@
 // Characterization-scaling benchmarks (PR 3): BenchmarkCharacterize times
 // the full figure suite (core.Characterize, Figs. 3-17) at 10k/100k-job
-// scale. BENCH_PR3.json records it next to the PR 2 scheduler trio with a
-// speedup column against the committed pre-columnar baseline, so the
-// shared-column index and the parallel figure fan-out carry a measured
+// scale. Commit 86520d6 recorded it (`git show 86520d6:BENCH_PR3.json`)
+// next to the PR 2 scheduler trio with a speedup column against the
+// pre-columnar baseline of the same commit (bench/baseline_pr3.json), so
+// the shared-column index and the parallel figure fan-out carry a measured
 // claim rather than an asserted one.
 package repro
 

@@ -6,8 +6,9 @@
 // crash-safe production default), and a mem baseline (decode + raw SegStore
 // append, no WAL, no ledger). The acceptance bar is wal=off within 1.5x of
 // mem; wal=sync reports absolute numbers — it is priced by the disk, not
-// the code. BENCH_PR9.json records these with the re-run streaming rows
-// joined against bench/baseline_pr8.json (regression guard).
+// the code. Commit 05d1f7b recorded these (`git show 05d1f7b:BENCH_PR9.json`)
+// with the re-run streaming rows joined against commit 99d72da's
+// bench/baseline_pr8.json (regression guard).
 package repro
 
 import (

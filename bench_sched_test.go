@@ -1,7 +1,8 @@
 // Scheduler-scaling benchmarks (PR 2): Benchmark{Schedule,Simulate,Replicate}
 // time the discrete-event hot path at 10k/100k/500k-job scale.
-// BENCH_PR2.json records this trio with a speedup column against the
-// committed pre-index baseline, so the free-capacity index and the
+// Commit f895064 recorded this trio (`git show f895064:BENCH_PR2.json`)
+// with a speedup column against the pre-index baseline of the same commit
+// (bench/baseline_pr2.json), so the free-capacity index and the
 // incremental schedule() loop carry a measured claim rather than an
 // asserted one.
 package repro
@@ -193,8 +194,9 @@ func BenchmarkSchedule(b *testing.B) {
 // queue and the predictor's estimate/shadow/refinement state is exercised on
 // every reservation. Compare against BenchmarkSchedule in the same run: that
 // benchmark is the conservative fence on identical inputs, so the delta IS
-// the prediction overhead. BENCH_PR7.json also reran the PR 2 trio, whose
-// unchanged numbers guard the disabled path (nil predictor, zero overhead).
+// the prediction overhead. Commit 2719316's BENCH_PR7.json also reran the
+// PR 2 trio, whose unchanged numbers guard the disabled path (nil
+// predictor, zero overhead).
 func BenchmarkPredictSched(b *testing.B) {
 	for _, sz := range schedSizes {
 		b.Run(sz.name, func(b *testing.B) {

@@ -5,8 +5,9 @@
 // pays one tail sort plus a two-way merge. BenchmarkStreamingIngestRebuild
 // is the same workload on the pre-PR8 path: each batch appends into a
 // Dataset and invalidates the columnar memo, so every query rebuilds and
-// re-sorts from scratch. BENCH_PR8.json records the segmented rows joined
-// against the committed rebuild baseline (bench/baseline_pr8.json); the
+// re-sorts from scratch. Commit 99d72da recorded the segmented rows
+// (BENCH_PR8.json) joined against the rebuild baseline
+// (bench/baseline_pr8.json); read them with `git show 99d72da:<file>`. The
 // acceptance bar was ≥10x at jobs=100k.
 package repro
 
@@ -94,8 +95,9 @@ func BenchmarkStreamingIngestSegSweep(b *testing.B) {
 
 // BenchmarkStreamingIngestRebuild is the pre-PR8 baseline for the same
 // workload: Dataset.Add invalidates the memo, so every query pays a full
-// columnar rebuild and re-sort. Committed as bench/baseline_pr8.json; kept
-// runnable so the comparison can be reproduced on any machine.
+// columnar rebuild and re-sort. Recorded as bench/baseline_pr8.json at
+// commit 99d72da; kept runnable so the comparison can be reproduced on any
+// machine.
 func BenchmarkStreamingIngestRebuild(b *testing.B) {
 	for _, sz := range streamSizes {
 		b.Run(sz.name, func(b *testing.B) {

@@ -389,53 +389,6 @@ func BenchmarkExtensionPrediction(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionColocatedScheduling runs the queueing experiment: merge
-// non-contending single-GPU jobs into shared-GPU bundles and schedule both
-// variants on a deliberately saturated cluster, reporting the mean-wait cut
-// co-location buys (the paper's §III takeaway turned into numbers).
-func BenchmarkExtensionColocatedScheduling(b *testing.B) {
-	gcfg := workload.ScaledConfig(0.01)
-	gcfg.Seed = 3
-	g, err := workload.NewGenerator(gcfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	specs := g.GenerateSpecs()
-	// Compress arrivals to saturate the 4-node test cluster.
-	for i := range specs {
-		specs[i].SubmitSec *= 0.15
-	}
-	plan := sharing.MergeForColocation(specs, sharing.DefaultColocationConfig(), 3600)
-	run := func(toRun []workload.JobSpec) float64 {
-		cfg := slurm.DefaultConfig()
-		cfg.Cluster.Nodes = 6
-		sim, err := slurm.NewSimulator(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		results, _, err := sim.Run(toRun)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var waits []float64
-		for i := range toRun {
-			if toRun[i].IsGPU() {
-				waits = append(waits, results[toRun[i].ID].WaitSec)
-			}
-		}
-		return stats.Mean(waits)
-	}
-	b.ResetTimer()
-	var excl, colo float64
-	for i := 0; i < b.N; i++ {
-		excl = run(specs)
-		colo = run(plan.Merged)
-	}
-	b.ReportMetric(excl, "exclusive-mean-wait-s")
-	b.ReportMetric(colo, "colocated-mean-wait-s")
-	b.ReportMetric(float64(plan.PairsFormed), "pairs")
-}
-
 // --- Replication engine ---
 
 // BenchmarkReplications times a 16-replication batch of the full pipeline

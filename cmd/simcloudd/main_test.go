@@ -322,6 +322,23 @@ func TestServerRequestLimits(t *testing.T) {
 		t.Fatalf("malformed body: %s, want 400", resp.Status)
 	}
 
+	// Well-formed JSON whose record JobRecord.Validate rejects.
+	for _, field := range []string{`"LimitSec": -1`, `"Cores": -1`, `"CoresPerGPU": -4`, `"MemGB": -1`,
+		`"Interface": 99`, `"Interface": -1`, `"Exit": 99`, `"Exit": -1`} {
+		body := `{"duration_days": 1, "jobs": [{"JobID": 1, "NumGPUs": 1, "RunSec": 60, ` + field + `}]}`
+		resp, err = http.Post(ts.URL+"/v1/ingest", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("record with %s: %s, want 400", field, resp.Status)
+		}
+	}
+	if srv.store.Seg().Len() != 0 {
+		t.Fatal("a rejected record mutated the store")
+	}
+
 	resp, err = http.Post(ts.URL+"/v1/telemetry", "application/json", strings.NewReader(`{"job_id": -4}`))
 	if err != nil {
 		t.Fatal(err)

@@ -135,21 +135,8 @@ type Node struct {
 // noExclusive is the sentinel for Node.exclusive.
 const noExclusive int64 = -1
 
-// FreeCores returns the unallocated core count.
-func (n *Node) FreeCores() int { return n.freeCores }
-
-// FreeMemGB returns the unallocated memory.
-func (n *Node) FreeMemGB() float64 { return n.freeMemGB }
-
-// FreeGPUs returns the number of unallocated GPUs (O(1), maintained as a
-// counter alongside the device states).
-func (n *Node) FreeGPUs() int { return n.freeGPUs }
-
 // Exclusive reports whether a job holds the node exclusively.
 func (n *Node) Exclusive() bool { return n.exclusive != noExclusive }
-
-// State returns the node's availability state.
-func (n *Node) State() NodeState { return n.state }
 
 // shared reports whether the node participates in the shared aggregates:
 // up and not exclusively held.
@@ -269,13 +256,6 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Config returns the cluster's configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
-// Nodes returns the live node list (shared, not copied; callers must not
-// mutate).
-func (c *Cluster) Nodes() []*Node { return c.nodes }
-
 // Request is a resource ask, in Slurm terms.
 type Request struct {
 	JobID int64
@@ -315,15 +295,6 @@ type NodeShare struct {
 type Allocation struct {
 	JobID  int64
 	Shares []NodeShare
-}
-
-// GPUs returns every granted device ID.
-func (a *Allocation) GPUs() []gpu.DeviceID {
-	var ids []gpu.DeviceID
-	for _, s := range a.Shares {
-		ids = append(ids, s.GPUIDs...)
-	}
-	return ids
 }
 
 // NodeSpan returns the number of distinct nodes in the allocation.
@@ -720,9 +691,6 @@ func (c *Cluster) NodeState(i int) NodeState { return c.nodes[i].state }
 // NodeAllocations returns the number of live shares on node i.
 func (c *Cluster) NodeAllocations(i int) int { return c.nodes[i].allocN }
 
-// DownNodes returns the number of nodes currently down.
-func (c *Cluster) DownNodes() int { return c.downNodes }
-
 // DownGPUs returns the number of devices on down nodes — capacity currently
 // lost to failures.
 func (c *Cluster) DownGPUs() int { return c.downGPUs }
@@ -779,11 +747,6 @@ func (c *Cluster) Release(jobID int64) error {
 	}
 	delete(c.allocations, jobID)
 	return nil
-}
-
-// Device returns the device with the given ID.
-func (c *Cluster) Device(id gpu.DeviceID) *gpu.Device {
-	return c.nodes[id.Node].devices[id.Index]
 }
 
 // FreeGPUs returns the cluster-wide count of unallocated GPUs on

@@ -325,3 +325,33 @@ func TestSharedCPUJobMemoryOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Config returns the cluster's configuration.
+func (c *Cluster) Config() Config { return c.cfg }
+
+// Nodes returns the live node list (shared, not copied; callers must not
+// mutate).
+func (c *Cluster) Nodes() []*Node { return c.nodes }
+
+// DownNodes returns the number of nodes currently down.
+func (c *Cluster) DownNodes() int { return c.downNodes }
+
+// Device returns the device with the given ID.
+func (c *Cluster) Device(id gpu.DeviceID) *gpu.Device {
+	return c.nodes[id.Node].devices[id.Index]
+}
+
+// GPUs returns every granted device ID.
+func (a *Allocation) GPUs() []gpu.DeviceID {
+	var ids []gpu.DeviceID
+	for _, s := range a.Shares {
+		ids = append(ids, s.GPUIDs...)
+	}
+	return ids
+}
+
+// FreeCores returns the unallocated core count.
+func (n *Node) FreeCores() int { return n.freeCores }
+
+// FreeMemGB returns the unallocated memory.
+func (n *Node) FreeMemGB() float64 { return n.freeMemGB }

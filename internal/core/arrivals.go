@@ -31,9 +31,6 @@ type SurgeWindow struct {
 	MeanLoadFactor   float64 // mean daily load over the window ÷ median daily load
 }
 
-// Days returns the window length in days.
-func (w SurgeWindow) Days() int { return w.EndDay - w.StartDay + 1 }
-
 // Arrivals computes the submission-process characterization over ALL jobs
 // (the arrival pattern is a property of user behavior, not of the GPU
 // filter). surgeThreshold <= 1 selects the default of 1.35.

@@ -125,3 +125,6 @@ func TestPaperTargetsOnGeneratedDefaults(t *testing.T) {
 		t.Errorf("seed 99: only %.0f%% of targets in band", frac*100)
 	}
 }
+
+// Days returns the window length in days.
+func (w SurgeWindow) Days() int { return w.EndDay - w.StartDay + 1 }

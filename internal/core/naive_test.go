@@ -534,3 +534,32 @@ func naiveAggregateUsers(ds *trace.Dataset) []UserStats {
 	}
 	return out
 }
+
+// Interval is one contiguous active or idle stretch detected in a job's
+// time series.
+type Interval struct {
+	Active   bool
+	StartSec float64
+	DurSec   float64
+}
+
+// SegmentSeries turns a job's time series into alternating intervals: a
+// sample is active when any GPU shows SM or memory-bandwidth activity. This
+// is the segmentation behind Fig. 6.
+func SegmentSeries(ts *trace.TimeSeries) []Interval {
+	if ts == nil || len(ts.PerGPU) == 0 || len(ts.PerGPU[0]) == 0 {
+		return nil
+	}
+	n := len(ts.PerGPU[0])
+	var out []Interval
+	for k := 0; k < n; k++ {
+		active := sampleActive(ts, k)
+		t := float64(k) * ts.IntervalSec
+		if len(out) > 0 && out[len(out)-1].Active == active {
+			out[len(out)-1].DurSec += ts.IntervalSec
+			continue
+		}
+		out = append(out, Interval{Active: active, StartSec: t, DurSec: ts.IntervalSec})
+	}
+	return out
+}

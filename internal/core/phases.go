@@ -14,35 +14,6 @@ import (
 // reading above noise means the GPU is in use.
 const activeSampleThresholdPct = 1.0
 
-// Interval is one contiguous active or idle stretch detected in a job's
-// time series.
-type Interval struct {
-	Active   bool
-	StartSec float64
-	DurSec   float64
-}
-
-// SegmentSeries turns a job's time series into alternating intervals: a
-// sample is active when any GPU shows SM or memory-bandwidth activity. This
-// is the segmentation behind Fig. 6.
-func SegmentSeries(ts *trace.TimeSeries) []Interval {
-	if ts == nil || len(ts.PerGPU) == 0 || len(ts.PerGPU[0]) == 0 {
-		return nil
-	}
-	n := len(ts.PerGPU[0])
-	var out []Interval
-	for k := 0; k < n; k++ {
-		active := sampleActive(ts, k)
-		t := float64(k) * ts.IntervalSec
-		if len(out) > 0 && out[len(out)-1].Active == active {
-			out[len(out)-1].DurSec += ts.IntervalSec
-			continue
-		}
-		out = append(out, Interval{Active: active, StartSec: t, DurSec: ts.IntervalSec})
-	}
-	return out
-}
-
 // sampleActive reports whether sample k of any GPU stream shows activity.
 func sampleActive(ts *trace.TimeSeries, k int) bool {
 	for _, stream := range ts.PerGPU {
@@ -95,7 +66,7 @@ type PhaseResult struct {
 // phaseAgg accumulates Fig. 6 across series without materializing intervals:
 // segmentation state is carried inline and each closed segment feeds the
 // duration totals and the per-kind length accumulators in segment order,
-// reproducing the SegmentSeries walk bit for bit.
+// reproducing the SegmentSeries walk (naive_test.go) bit for bit.
 type phaseAgg struct {
 	activePct []float64
 	idleCoVs  []float64

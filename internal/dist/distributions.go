@@ -14,15 +14,6 @@ type Sampler interface {
 	Sample(r *RNG) float64
 }
 
-// QuantileSampler is a Sampler that also exposes its inverse CDF. The
-// workload calibrator uses quantiles to verify that configured distributions
-// hit the paper's published percentiles before any data is generated.
-type QuantileSampler interface {
-	Sampler
-	// Quantile returns the value at probability p in [0, 1].
-	Quantile(p float64) float64
-}
-
 // ---------------------------------------------------------------------------
 // Uniform
 // ---------------------------------------------------------------------------
@@ -34,12 +25,6 @@ type Uniform struct {
 
 // Sample draws a uniform variate.
 func (u Uniform) Sample(r *RNG) float64 { return u.Low + (u.High-u.Low)*r.Float64() }
-
-// Quantile returns Low + p*(High-Low).
-func (u Uniform) Quantile(p float64) float64 { return u.Low + (u.High-u.Low)*clamp01(p) }
-
-// Mean returns the distribution mean.
-func (u Uniform) Mean() float64 { return (u.Low + u.High) / 2 }
 
 // ---------------------------------------------------------------------------
 // Lognormal
@@ -74,17 +59,6 @@ func (l Lognormal) Sample(r *RNG) float64 {
 	return math.Exp(l.Mu + l.Sigma*r.NormFloat64())
 }
 
-// Quantile returns the inverse CDF at p.
-func (l Lognormal) Quantile(p float64) float64 {
-	return math.Exp(l.Mu + l.Sigma*NormQuantile(clamp01(p)))
-}
-
-// Median returns exp(Mu).
-func (l Lognormal) Median() float64 { return math.Exp(l.Mu) }
-
-// Mean returns exp(Mu + Sigma²/2).
-func (l Lognormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
 // ---------------------------------------------------------------------------
 // Exponential
 // ---------------------------------------------------------------------------
@@ -97,42 +71,6 @@ type Exponential struct {
 
 // Sample draws an exponential variate.
 func (e Exponential) Sample(r *RNG) float64 { return e.Mean * r.ExpFloat64() }
-
-// Quantile returns -Mean * ln(1-p).
-func (e Exponential) Quantile(p float64) float64 { return -e.Mean * math.Log(1-clamp01p(p)) }
-
-// ---------------------------------------------------------------------------
-// Bounded Pareto
-// ---------------------------------------------------------------------------
-
-// BoundedPareto is a Pareto distribution truncated to [Low, High] with shape
-// Alpha. It models per-user job counts: the paper reports that the top 5 % of
-// users submit 44 % of all jobs and the top 20 % submit 83.2 % — a classic
-// heavy-tailed concentration that a bounded Pareto reproduces while keeping
-// the maximum finite.
-type BoundedPareto struct {
-	Low, High float64
-	Alpha     float64
-}
-
-// Sample draws a bounded-Pareto variate by inverse transform.
-func (b BoundedPareto) Sample(r *RNG) float64 { return b.Quantile(r.Float64()) }
-
-// Quantile returns the inverse CDF at p.
-func (b BoundedPareto) Quantile(p float64) float64 {
-	p = clamp01(p)
-	la := math.Pow(b.Low, b.Alpha)
-	ha := math.Pow(b.High, b.Alpha)
-	// CDF(x) = (1 - L^a x^-a) / (1 - (L/H)^a)
-	x := math.Pow(-(p*ha-p*la-ha)/(la*ha), -1/b.Alpha)
-	if x < b.Low {
-		x = b.Low
-	}
-	if x > b.High {
-		x = b.High
-	}
-	return x
-}
 
 // ---------------------------------------------------------------------------
 // Triangular
@@ -214,46 +152,8 @@ func sampleGamma(r *RNG, shape float64) float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Constant, Truncated, Mixture, Scaled
+// Mixture
 // ---------------------------------------------------------------------------
-
-// Constant is a degenerate distribution that always returns Value.
-type Constant struct {
-	Value float64
-}
-
-// Sample returns the constant.
-func (c Constant) Sample(*RNG) float64 { return c.Value }
-
-// Quantile returns the constant for any p.
-func (c Constant) Quantile(float64) float64 { return c.Value }
-
-// Truncated clamps another sampler's output to [Low, High] by resampling up
-// to a bounded number of times and clamping afterwards. Resampling keeps the
-// interior shape; the final clamp guarantees termination.
-type Truncated struct {
-	Base      Sampler
-	Low, High float64
-}
-
-// Sample draws from Base, rejecting out-of-range variates.
-func (t Truncated) Sample(r *RNG) float64 {
-	const maxTries = 64
-	for i := 0; i < maxTries; i++ {
-		v := t.Base.Sample(r)
-		if v >= t.Low && v <= t.High {
-			return v
-		}
-	}
-	v := t.Base.Sample(r)
-	if v < t.Low {
-		return t.Low
-	}
-	if v > t.High {
-		return t.High
-	}
-	return v
-}
 
 // Component is one branch of a Mixture.
 type Component struct {
@@ -299,16 +199,6 @@ func (m *Mixture) Sample(r *RNG) float64 {
 	return m.components[i].Dist.Sample(r)
 }
 
-// Scaled multiplies a base sampler's output by Factor and adds Offset.
-type Scaled struct {
-	Base   Sampler
-	Factor float64
-	Offset float64
-}
-
-// Sample returns Offset + Factor*Base.Sample(r).
-func (s Scaled) Sample(r *RNG) float64 { return s.Offset + s.Factor*s.Base.Sample(r) }
-
 // ---------------------------------------------------------------------------
 // Categorical
 // ---------------------------------------------------------------------------
@@ -349,76 +239,12 @@ func (c *Categorical) Draw(r *RNG) int {
 	return i
 }
 
-// Prob returns the normalized probability of category i.
-func (c *Categorical) Prob(i int) float64 { return c.weights[i] / c.total }
-
-// Len returns the number of categories.
-func (c *Categorical) Len() int { return len(c.weights) }
-
-// ---------------------------------------------------------------------------
-// Normal quantile (Acklam's inverse-CDF approximation)
-// ---------------------------------------------------------------------------
-
-// NormQuantile returns the standard normal inverse CDF at p using Peter
-// Acklam's rational approximation (relative error < 1.15e-9), sufficient for
-// calibration and for Spearman p-values.
-func NormQuantile(p float64) float64 {
-	switch {
-	case p <= 0:
-		return math.Inf(-1)
-	case p >= 1:
-		return math.Inf(1)
-	}
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-		1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-		6.680131188771972e+01, -1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-		-2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-		3.754408661907416e+00}
-	const pLow, pHigh = 0.02425, 1 - 0.02425
-	var x float64
-	switch {
-	case p < pLow:
-		q := math.Sqrt(-2 * math.Log(p))
-		x = (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p <= pHigh:
-		q := p - 0.5
-		t := q * q
-		x = (((((a[0]*t+a[1])*t+a[2])*t+a[3])*t+a[4])*t + a[5]) * q /
-			(((((b[0]*t+b[1])*t+b[2])*t+b[3])*t+b[4])*t + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		x = -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	}
-	return x
-}
-
-// NormCDF returns the standard normal CDF at x.
-func NormCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
 func clamp01(p float64) float64 {
 	if p < 0 {
 		return 0
 	}
 	if p > 1 {
 		return 1
-	}
-	return p
-}
-
-// clamp01p clamps to [0, 1) so that log(1-p) stays finite.
-func clamp01p(p float64) float64 {
-	if p < 0 {
-		return 0
-	}
-	if p >= 1 {
-		return math.Nextafter(1, 0)
 	}
 	return p
 }

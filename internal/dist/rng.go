@@ -83,15 +83,6 @@ func Stream(root, index uint64) *RNG {
 	return New(StreamSeed(root, index))
 }
 
-// SplitN derives n independent child generators.
-func (r *RNG) SplitN(n int) []*RNG {
-	out := make([]*RNG, n)
-	for i := range out {
-		out[i] = r.Split()
-	}
-	return out
-}
-
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
 	// Use the top 53 bits for a dyadic rational in [0,1).
@@ -162,25 +153,6 @@ func (r *RNG) NormFloat64() float64 {
 // ExpFloat64 returns an exponential variate with rate 1 (mean 1).
 func (r *RNG) ExpFloat64() float64 {
 	return -math.Log(r.Float64Open())
-}
-
-// Shuffle pseudo-randomly permutes the order of n elements using the provided
-// swap function (Fisher-Yates).
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }
 
 // Bool returns true with probability p.

@@ -266,3 +266,31 @@ func TestStreamIndependentOfRootGenerator(t *testing.T) {
 		}
 	}
 }
+
+// SplitN derives n independent child generators.
+func (r *RNG) SplitN(n int) []*RNG {
+	out := make([]*RNG, n)
+	for i := range out {
+		out[i] = r.Split()
+	}
+	return out
+}
+
+// Shuffle pseudo-randomly permutes the order of n elements using the provided
+// swap function (Fisher-Yates).
+func (r *RNG) Shuffle(n int, swap func(i, j int)) {
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		swap(i, j)
+	}
+}
+
+// Perm returns a pseudo-random permutation of [0, n).
+func (r *RNG) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
+	return p
+}

@@ -6,10 +6,6 @@
 // once. Backoff is full-jitter exponential with two independent brakes: an
 // attempt cap and a cumulative sleep budget. 429 responses carrying
 // Retry-After (the server's backpressure signal) are obeyed.
-//
-// The client implements engine.StreamSink (stream whole replications into a
-// remote store) and, via TelemetrySink, monitor.EpilogSink (stream epilog
-// telemetry), making a remote simcloudd a drop-in for a local SegStore.
 package client
 
 import (
@@ -25,8 +21,6 @@ import (
 	"time"
 
 	"repro/internal/dist"
-	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
 // Result is the server's ingest acknowledgment.
@@ -120,15 +114,6 @@ func BatchID(body []byte) string {
 	return fmt.Sprintf("%x", sha256.Sum256(body))
 }
 
-// IngestDataset encodes ds and ingests it as one batch.
-func (c *Client) IngestDataset(ds *trace.Dataset) (Result, error) {
-	var buf bytes.Buffer
-	if err := ds.WriteJSON(&buf); err != nil {
-		return Result{}, err
-	}
-	return c.IngestBody(buf.Bytes())
-}
-
 // IngestBody ingests a pre-encoded dataset body under its content-hash ID.
 func (c *Client) IngestBody(body []byte) (Result, error) {
 	return c.IngestBodyID(BatchID(body), body)
@@ -139,30 +124,6 @@ func (c *Client) IngestBodyID(id string, body []byte) (Result, error) {
 	var res Result
 	err := c.do("/v1/ingest", map[string]string{"X-Batch-ID": id}, body, &res)
 	return res, err
-}
-
-// AppendStreamDataset implements engine.StreamSink: each replication's
-// dataset becomes one idempotent ingest batch.
-func (c *Client) AppendStreamDataset(ds *trace.Dataset) error {
-	_, err := c.IngestDataset(ds)
-	return err
-}
-
-// telemetryWire mirrors the server's /v1/telemetry request body.
-type telemetryWire struct {
-	JobID  int64                     `json:"job_id"`
-	PerGPU []metrics.MetricSummaries `json:"per_gpu,omitempty"`
-	Series *trace.TimeSeries         `json:"series,omitempty"`
-}
-
-// StageTelemetry sends one monitoring-epilog record. Staging is naturally
-// idempotent (same job ID, same payload), so retries need no batch ID.
-func (c *Client) StageTelemetry(jobID int64, perGPU []metrics.MetricSummaries, ts *trace.TimeSeries) error {
-	body, err := json.Marshal(telemetryWire{JobID: jobID, PerGPU: perGPU, Series: ts})
-	if err != nil {
-		return err
-	}
-	return c.do("/v1/telemetry", nil, body, nil)
 }
 
 // do POSTs body to path with retries. A nil out skips response decoding.
@@ -265,38 +226,4 @@ func (c *Client) backoff(attempt int, lastErr error) time.Duration {
 		d = c.opts.MaxDelay
 	}
 	return d
-}
-
-// TelemetrySink adapts Client to monitor.EpilogSink, whose StageTelemetry
-// returns nothing — the pipeline fires epilogs without waiting on storage.
-// Errors are collected instead of lost; check Err after the run.
-type TelemetrySink struct {
-	C *Client
-
-	mu      sync.Mutex
-	errs    []error
-	dropped int
-}
-
-// StageTelemetry implements monitor.EpilogSink.
-func (s *TelemetrySink) StageTelemetry(jobID int64, perGPU []metrics.MetricSummaries, ts *trace.TimeSeries) {
-	if err := s.C.StageTelemetry(jobID, perGPU, ts); err != nil {
-		s.mu.Lock()
-		if len(s.errs) < 8 {
-			s.errs = append(s.errs, fmt.Errorf("job %d: %w", jobID, err))
-		}
-		s.dropped++
-		s.mu.Unlock()
-	}
-}
-
-// Err reports the first delivery errors and the total count, or nil if
-// every record was delivered.
-func (s *TelemetrySink) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dropped == 0 {
-		return nil
-	}
-	return fmt.Errorf("client: %d telemetry records undelivered; first: %w", s.dropped, s.errs[0])
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -210,4 +211,55 @@ func TestTelemetrySinkDelivers(t *testing.T) {
 	if bodies.Load() != 1 {
 		t.Fatal("telemetry never reached the server")
 	}
+}
+
+// telemetryWire mirrors the server's /v1/telemetry request body.
+type telemetryWire struct {
+	JobID  int64                     `json:"job_id"`
+	PerGPU []metrics.MetricSummaries `json:"per_gpu,omitempty"`
+	Series *trace.TimeSeries         `json:"series,omitempty"`
+}
+
+// StageTelemetry sends one monitoring-epilog record. Staging is naturally
+// idempotent (same job ID, same payload), so retries need no batch ID.
+func (c *Client) StageTelemetry(jobID int64, perGPU []metrics.MetricSummaries, ts *trace.TimeSeries) error {
+	body, err := json.Marshal(telemetryWire{JobID: jobID, PerGPU: perGPU, Series: ts})
+	if err != nil {
+		return err
+	}
+	return c.do("/v1/telemetry", nil, body, nil)
+}
+
+// TelemetrySink adapts Client to a StageTelemetry hook that returns
+// nothing — the caller fires epilogs without waiting on storage. Errors are
+// collected instead of lost; check Err after the run.
+type TelemetrySink struct {
+	C *Client
+
+	mu      sync.Mutex
+	errs    []error
+	dropped int
+}
+
+// StageTelemetry sends one record, collecting any error.
+func (s *TelemetrySink) StageTelemetry(jobID int64, perGPU []metrics.MetricSummaries, ts *trace.TimeSeries) {
+	if err := s.C.StageTelemetry(jobID, perGPU, ts); err != nil {
+		s.mu.Lock()
+		if len(s.errs) < 8 {
+			s.errs = append(s.errs, fmt.Errorf("job %d: %w", jobID, err))
+		}
+		s.dropped++
+		s.mu.Unlock()
+	}
+}
+
+// Err reports the first delivery errors and the total count, or nil if
+// every record was delivered.
+func (s *TelemetrySink) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.dropped == 0 {
+		return nil
+	}
+	return fmt.Errorf("client: %d telemetry records undelivered; first: %w", s.dropped, s.errs[0])
 }

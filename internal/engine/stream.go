@@ -26,34 +26,11 @@ func StreamJobID(rep int, id int64) int64 {
 }
 
 // StreamSink receives each completed replication's dataset — job IDs
-// already namespaced via StreamJobID — in replication-index order. A local
-// trace.SegStore satisfies it through SegStoreSink; the durable ingest
-// client satisfies it directly, which is how a simulation streams its
-// replications into a remote simcloudd with retry and idempotency instead
-// of an in-process store. A sink error aborts the batch: a half-streamed
-// store has no meaningful merged interpretation.
+// already namespaced via StreamJobID — in replication-index order. A sink
+// error aborts the batch: a half-streamed store has no meaningful merged
+// interpretation.
 type StreamSink interface {
 	AppendStreamDataset(ds *trace.Dataset) error
-}
-
-// SegStoreSink adapts a local SegStore to StreamSink. Appends cannot fail.
-type SegStoreSink struct{ Store *trace.SegStore }
-
-// AppendStreamDataset implements StreamSink.
-func (s SegStoreSink) AppendStreamDataset(ds *trace.Dataset) error {
-	s.Store.AppendDataset(ds)
-	return nil
-}
-
-// RunStream executes cfg.Reps replications of fn across the worker pool and
-// streams every completed replication's dataset into store. It is
-// RunStreamTo with the store wrapped in SegStoreSink; the determinism
-// contract below applies unchanged.
-func RunStream(ctx context.Context, cfg Config, store *trace.SegStore, fn DatasetReplicator) (*Batch, error) {
-	if store == nil {
-		return nil, fmt.Errorf("engine: RunStream needs a store")
-	}
-	return RunStreamTo(ctx, cfg, SegStoreSink{Store: store}, fn)
 }
 
 // RunStreamTo executes cfg.Reps replications of fn across the worker pool

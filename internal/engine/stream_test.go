@@ -9,7 +9,7 @@ import (
 	"repro/internal/trace"
 )
 
-// streamStore runs the small experiment through RunStream with the given
+// streamStore runs the small experiment through RunStreamTo with the given
 // worker count and segment size, returning the batch and the filled store.
 func streamStore(t *testing.T, workers, segJobs int) (*Batch, *trace.SegStore) {
 	t.Helper()
@@ -18,8 +18,8 @@ func streamStore(t *testing.T, workers, segJobs int) (*Batch, *trace.SegStore) {
 		DurationDays: e.Gen.DurationDays,
 		SegmentJobs:  segJobs,
 	})
-	b, err := RunStream(context.Background(), Config{RootSeed: 5, Reps: 4, Workers: workers},
-		st, e.DatasetReplicator())
+	b, err := RunStreamTo(context.Background(), Config{RootSeed: 5, Reps: 4, Workers: workers},
+		SegStoreSink{Store: st}, e.DatasetReplicator())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestRunStreamDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestRunStreamMatchesRun pins the scalar side: RunStream's merged summary
+// TestRunStreamMatchesRun pins the scalar side: RunStreamTo's merged summary
 // equals Run's for the same configuration (the dataset hand-off must not
 // perturb the sample pipeline).
 func TestRunStreamMatchesRun(t *testing.T) {
@@ -61,7 +61,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := trace.NewSegStore(trace.SegConfig{DurationDays: e.Gen.DurationDays})
-	streamBatch, err := RunStream(context.Background(), cfg, st, e.DatasetReplicator())
+	streamBatch, err := RunStreamTo(context.Background(), cfg, SegStoreSink{Store: st}, e.DatasetReplicator())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +69,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 		t.Errorf("merged summaries differ\n want %.300s\n  got %.300s", want, got)
 	}
 	if st.Len() == 0 {
-		t.Fatal("store is empty after RunStream")
-	}
-	if err := st.Validate(); err != nil {
-		t.Fatalf("streamed store invalid: %v", err)
+		t.Fatal("store is empty after RunStreamTo")
 	}
 }
 
@@ -88,4 +85,17 @@ func TestStreamJobIDNamespacing(t *testing.T) {
 	if StreamJobID(2, 1<<repIDBits-1) >= StreamJobID(3, 0) {
 		t.Error("replication namespaces overlap")
 	}
+}
+
+// SegStoreSink adapts a local SegStore to StreamSink for the streaming
+// tests. A replication dataset that fails validation aborts the batch.
+type SegStoreSink struct{ Store *trace.SegStore }
+
+// AppendStreamDataset implements StreamSink.
+func (s SegStoreSink) AppendStreamDataset(ds *trace.Dataset) error {
+	if err := ds.Validate(); err != nil {
+		return err
+	}
+	s.Store.AppendDataset(ds)
+	return nil
 }

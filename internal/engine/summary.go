@@ -49,9 +49,6 @@ func (s *Summary) AddSample(rep int, sm Sample) {
 	s.reps = append(s.reps, rep)
 }
 
-// Reps returns the folded replication indices in fold order.
-func (s *Summary) Reps() []int { return s.reps }
-
 // N returns the number of folded replications.
 func (s *Summary) N() int { return len(s.reps) }
 
@@ -63,34 +60,6 @@ func (s *Summary) Metrics() []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// Agg returns the aggregate for one metric, or nil if unknown.
-func (s *Summary) Agg(metric string) *stats.Agg { return s.aggs[metric] }
-
-// Merge folds another summary's replications after this one's, preserving
-// both fold orders. Shards merged in replication order reproduce the
-// single-summary result exactly.
-func (s *Summary) Merge(o *Summary) {
-	for key := range o.aggs {
-		if s.aggs[key] == nil {
-			a := &stats.Agg{}
-			for range s.reps {
-				a.Add(math.NaN())
-			}
-			s.aggs[key] = a
-		}
-	}
-	for key, a := range s.aggs {
-		if oa := o.aggs[key]; oa != nil {
-			a.Merge(oa)
-		} else {
-			for range o.reps {
-				a.Add(math.NaN())
-			}
-		}
-	}
-	s.reps = append(s.reps, o.reps...)
 }
 
 // WriteCanonical emits the deterministic text form: one line per metric,

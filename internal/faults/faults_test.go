@@ -168,3 +168,30 @@ func TestCrashDrainMix(t *testing.T) {
 		t.Fatalf("equal-rate mix produced crashes=%d drains=%d", crashes, drains)
 	}
 }
+
+// Generate materializes every node outage up to horizonSec as a single
+// time-sorted stream, assuming each outage repairs before the next is drawn:
+// the eager form of the lazy Injector the simulator uses.
+func Generate(p Plan, nodes int, horizonSec float64, seed uint64) []NodeEvent {
+	in := NewInjector(p, nodes, seed)
+	var out []NodeEvent
+	for node := 0; node < nodes; node++ {
+		now := 0.0
+		for {
+			ev, ok := in.Next(node, now)
+			if !ok || ev.TimeSec > horizonSec {
+				break
+			}
+			out = append(out, ev)
+			now = ev.TimeSec + ev.RepairSec
+		}
+	}
+	// Stable order: time, then node (a node's own events are already sorted).
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && (out[j].TimeSec < out[j-1].TimeSec ||
+			(out[j].TimeSec == out[j-1].TimeSec && out[j].Node < out[j-1].Node)); j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	return out
+}

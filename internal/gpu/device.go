@@ -9,11 +9,7 @@
 // exactly those observables.
 package gpu
 
-import (
-	"fmt"
-
-	"repro/internal/metrics"
-)
+import "fmt"
 
 // Spec describes a GPU model. All bandwidth figures are theoretical peaks;
 // utilization percentages in the monitoring stream are relative to these.
@@ -90,14 +86,13 @@ type DeviceID struct {
 // String renders the ID as node:gpu.
 func (d DeviceID) String() string { return fmt.Sprintf("n%d:g%d", d.Node, d.Index) }
 
-// Device is one physical GPU with allocation and power-cap state. Devices
+// Device is one physical GPU with its allocation state. Devices
 // are not safe for concurrent mutation; the scheduler owns them.
 type Device struct {
 	ID   DeviceID
 	Spec Spec
 
-	allocatedTo int64   // job ID, or FreeDevice
-	powerCap    float64 // watts; 0 means uncapped
+	allocatedTo int64 // job ID, or FreeDevice
 }
 
 // FreeDevice is the sentinel job ID of an unallocated device.
@@ -136,56 +131,6 @@ func (d *Device) Release() error {
 	}
 	d.allocatedTo = FreeDevice
 	return nil
-}
-
-// SetPowerCap caps the device at watts (0 removes the cap). Caps below idle
-// power are rejected: the hardware cannot go below its floor.
-func (d *Device) SetPowerCap(watts float64) error {
-	if watts != 0 && watts < d.Spec.IdleWatts {
-		return fmt.Errorf("gpu: power cap %.0fW below idle floor %.0fW", watts, d.Spec.IdleWatts)
-	}
-	d.powerCap = watts
-	return nil
-}
-
-// PowerCap returns the active cap in watts, or 0 when uncapped.
-func (d *Device) PowerCap() float64 { return d.powerCap }
-
-// EffectiveLimit returns the power the device may draw: the cap if set,
-// otherwise TDP.
-func (d *Device) EffectiveLimit() float64 {
-	if d.powerCap > 0 {
-		return d.powerCap
-	}
-	return d.Spec.TDPWatts
-}
-
-// MemoryUsedGB converts a memory-size utilization percentage into gigabytes
-// on this device.
-func (d *Device) MemoryUsedGB(memSizePct float64) float64 {
-	return d.Spec.MemoryGB * memSizePct / 100
-}
-
-// PCIeUsedGBps converts a PCIe utilization percentage into GB/s.
-func (d *Device) PCIeUsedGBps(pct float64) float64 {
-	return d.Spec.PCIeGBps * pct / 100
-}
-
-// Observe converts an instantaneous utilization state into the full metric
-// vector the monitor samples, applying the power model and the active cap.
-func (d *Device) Observe(m PowerModel, u Utilization) [metrics.NumMetrics]float64 {
-	var out [metrics.NumMetrics]float64
-	out[metrics.SMUtil] = u.SMPct
-	out[metrics.MemUtil] = u.MemPct
-	out[metrics.MemSize] = u.MemSizePct
-	out[metrics.PCIeTx] = u.PCIeTxPct
-	out[metrics.PCIeRx] = u.PCIeRxPct
-	p := m.Watts(d.Spec, u)
-	if lim := d.EffectiveLimit(); p > lim {
-		p = lim
-	}
-	out[metrics.Power] = p
-	return out
 }
 
 // Utilization is an instantaneous utilization state of one GPU, all values

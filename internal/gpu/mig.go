@@ -53,11 +53,6 @@ func NewMIGPartitioner(spec Spec) (*MIGPartitioner, error) {
 	return &MIGPartitioner{spec: spec, ResetCostSec: 3}, nil
 }
 
-// Instances returns the current slice layout.
-func (p *MIGPartitioner) Instances() []MIGInstance {
-	return append([]MIGInstance(nil), p.instances...)
-}
-
 // Resets returns how many repartitions have occurred.
 func (p *MIGPartitioner) Resets() int { return p.totalResets }
 
@@ -100,39 +95,6 @@ func (p *MIGPartitioner) Repartition(profiles []MIGProfile) (costSec float64, er
 	}
 	p.totalResets++
 	return p.ResetCostSec, nil
-}
-
-// Place assigns a job to the smallest vacant slice satisfying its demands.
-// It returns the slice index, or an error when nothing fits.
-func (p *MIGPartitioner) Place(jobID int64, computeSlices int, memoryGB float64) (int, error) {
-	best := -1
-	for i, in := range p.instances {
-		if in.JobID != FreeDevice {
-			continue
-		}
-		if in.Profile.ComputeSlices < computeSlices || in.Profile.MemoryGB < memoryGB {
-			continue
-		}
-		if best == -1 || p.instances[i].Profile.ComputeSlices < p.instances[best].Profile.ComputeSlices {
-			best = i
-		}
-	}
-	if best == -1 {
-		return 0, fmt.Errorf("gpu: no vacant MIG slice fits %dc/%.0fGB", computeSlices, memoryGB)
-	}
-	p.instances[best].JobID = jobID
-	return best, nil
-}
-
-// Evict frees the slice holding jobID. It is an error if the job is absent.
-func (p *MIGPartitioner) Evict(jobID int64) error {
-	for i := range p.instances {
-		if p.instances[i].JobID == jobID {
-			p.instances[i].JobID = FreeDevice
-			return nil
-		}
-	}
-	return fmt.Errorf("gpu: job %d not placed on this device", jobID)
 }
 
 // PackLayout chooses a slice layout covering demands (each demand is a

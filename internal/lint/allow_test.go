@@ -5,14 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/lint"
-	"repro/internal/lint/linttest"
 )
 
 // TestAllowSuppression proves //lint:allow silences exactly the named
 // analyzer on the covered line and nothing else, and that unknown names and
 // stale suppressions are reported (via the fixture's want comments).
 func TestAllowSuppression(t *testing.T) {
-	linttest.Run(t, "allowfix", lint.NoWallClock, lint.SeedFlow)
+	runFixture(t, "allowfix", lint.NoWallClock, lint.SeedFlow)
 }
 
 // TestAllowMalformed covers the audit diagnostics that land on the allow
@@ -21,7 +20,7 @@ func TestAllowSuppression(t *testing.T) {
 // reasonless allow must be reported AND must not suppress the finding it
 // covers.
 func TestAllowMalformed(t *testing.T) {
-	pkg, err := linttest.NewLoader(t).Load("allowbad")
+	pkg, err := fixtureLoader(t).Load("allowbad")
 	if err != nil {
 		t.Fatalf("loading allowbad: %v", err)
 	}

@@ -6,11 +6,11 @@ package lint
 // commitorder, httpterm, deferclose) share. It stays deliberately small:
 // basic blocks of statement-level AST nodes, explicit edges for every Go
 // control construct, calls that provably never return (panic, os.Exit,
-// log.Fatal*) routed straight to the exit block, and iterative
-// dominator/postdominator trees computed with the Cooper–Harvey–Kennedy
-// algorithm. Function literals are NOT flattened into the enclosing
-// graph — a FuncLit is an opaque value here, and analyzers build a
-// separate CFG for its body if they care.
+// log.Fatal*) routed straight to the exit block, and an iterative
+// dominator tree computed with the Cooper–Harvey–Kennedy algorithm.
+// Function literals are NOT flattened into the enclosing graph — a FuncLit
+// is an opaque value here, and analyzers build a separate CFG for its body
+// if they care.
 //
 // The graph intentionally models defer as a plain statement in the block
 // where it executes: a deferred unlock or close runs at function exit, so
@@ -415,20 +415,18 @@ type FuncInfo struct {
 	idom    []int // block index → idom block index; root maps to itself; -1 undefined
 	prpoNum []int // same, on the reverse graph rooted at Exit
 	prpo    []*Block
-	ipdom   []int
 
 	loc map[ast.Node]stmtLoc
 }
 
-// NewFuncInfo computes dominators, postdominators and the location index
-// for body.
+// NewFuncInfo computes dominators, the reverse-graph postorder the
+// backward dataflow solver walks, and the location index for body.
 func NewFuncInfo(body *ast.BlockStmt, info *types.Info) *FuncInfo {
 	g := NewCFG(body, info)
 	fi := &FuncInfo{G: g, Info: info, loc: make(map[ast.Node]stmtLoc)}
 	fi.rpo, fi.rpoNum = postorderNumbering(g, g.Entry, func(b *Block) []*Block { return b.Succs })
 	fi.idom = immediateDoms(g, g.Entry, func(b *Block) []*Block { return b.Preds }, fi.rpo, fi.rpoNum)
 	fi.prpo, fi.prpoNum = postorderNumbering(g, g.Exit, func(b *Block) []*Block { return b.Preds })
-	fi.ipdom = immediateDoms(g, g.Exit, func(b *Block) []*Block { return b.Succs }, fi.prpo, fi.prpoNum)
 	for _, blk := range g.Blocks {
 		for i, n := range blk.Stmts {
 			l := stmtLoc{blk, i}
@@ -458,12 +456,6 @@ func (fi *FuncInfo) Locate(n ast.Node) (b *Block, idx int, ok bool) {
 // Unreachable blocks dominate nothing and are dominated by nothing.
 func (fi *FuncInfo) Dominates(a, b *Block) bool {
 	return dominates(fi.idom, fi.rpoNum, a, b, fi.G)
-}
-
-// PostDominates reports whether every path from b to the function exit
-// passes through a.
-func (fi *FuncInfo) PostDominates(a, b *Block) bool {
-	return dominates(fi.ipdom, fi.prpoNum, a, b, fi.G)
 }
 
 // StmtDominates reports whether the statement at (ab, ai) executes on

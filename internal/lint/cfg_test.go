@@ -297,3 +297,11 @@ func TestCFGRangeLoop(t *testing.T) {
 		t.Error("loop body must not postdominate post-loop code")
 	}
 }
+
+// PostDominates reports whether every path from b to the function exit
+// passes through a. No analyzer needs postdominators, so the tests compute
+// them on demand.
+func (fi *FuncInfo) PostDominates(a, b *Block) bool {
+	ipdom := immediateDoms(fi.G, fi.G.Exit, func(b *Block) []*Block { return b.Succs }, fi.prpo, fi.prpoNum)
+	return dominates(ipdom, fi.prpoNum, a, b, fi.G)
+}

@@ -4,21 +4,20 @@ import (
 	"testing"
 
 	"repro/internal/lint"
-	"repro/internal/lint/linttest"
 )
 
 // TestCommitOrder runs against a fixture whose import path ends in
 // internal/durable, exercising the suffix-based package scope the same
 // way the errsink fixture does.
 func TestCommitOrder(t *testing.T) {
-	linttest.Run(t, "durablefix/internal/durable", lint.CommitOrder)
+	runFixture(t, "durablefix/internal/durable", lint.CommitOrder)
 }
 
 // TestCommitOrderOutOfScope proves the analyzer ignores packages outside
 // internal/durable: the lockguard fixture mutates state freely and must
 // stay silent under commitorder.
 func TestCommitOrderOutOfScope(t *testing.T) {
-	loader := linttest.NewLoader(t)
+	loader := fixtureLoader(t)
 	pkg, err := loader.Load("lockguard")
 	if err != nil {
 		t.Fatalf("load: %v", err)

@@ -4,9 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/lint"
-	"repro/internal/lint/linttest"
 )
 
 func TestDeferClose(t *testing.T) {
-	linttest.Run(t, "deferclose", lint.DeferClose)
+	runFixture(t, "deferclose", lint.DeferClose)
 }

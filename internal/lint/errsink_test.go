@@ -4,12 +4,11 @@ import (
 	"testing"
 
 	"repro/internal/lint"
-	"repro/internal/lint/linttest"
 )
 
 // TestErrSink runs against a fixture importing stand-in repro/internal/trace
 // and repro/internal/report packages (resolved from testdata/src ahead of the
 // real module), exercising the suffix-based guarded-package match.
 func TestErrSink(t *testing.T) {
-	linttest.Run(t, "errsink", lint.ErrSink)
+	runFixture(t, "errsink", lint.ErrSink)
 }

@@ -4,9 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/lint"
-	"repro/internal/lint/linttest"
 )
 
 func TestFieldAlign(t *testing.T) {
-	linttest.Run(t, "fieldalign", lint.FieldAlign)
+	runFixture(t, "fieldalign", lint.FieldAlign)
 }

@@ -1,4 +1,4 @@
-// Package linttest is the fixture harness for simlint analyzers — the
+// The fixture harness for simlint analyzers — the
 // project's stdlib-only analogue of golang.org/x/tools/go/analysis/
 // analysistest. A fixture is a package directory under
 // internal/lint/testdata/src; expectations are written in the fixture
@@ -13,7 +13,7 @@
 // analyzer stays silent. The full driver pipeline runs, including
 // //lint:allow filtering, so fixtures can also assert the suppression
 // mechanism itself.
-package linttest
+package lint_test
 
 import (
 	"path/filepath"
@@ -30,15 +30,15 @@ import (
 func srcRoot() string {
 	_, file, _, ok := runtime.Caller(0)
 	if !ok {
-		panic("linttest: cannot locate caller")
+		panic("fixture: cannot locate caller")
 	}
-	return filepath.Join(filepath.Dir(file), "..", "testdata", "src")
+	return filepath.Join(filepath.Dir(file), "testdata", "src")
 }
 
-// NewLoader returns a loader that resolves import paths inside testdata/src
+// fixtureLoader returns a loader that resolves import paths inside testdata/src
 // first (so fixtures can model guarded packages like a fake internal/trace)
 // and falls back to the real module for everything else.
-func NewLoader(t *testing.T) *lint.Loader {
+func fixtureLoader(t *testing.T) *lint.Loader {
 	t.Helper()
 	root := srcRoot()
 	modRoot, modPath := moduleInfo(t)
@@ -56,10 +56,10 @@ func NewLoader(t *testing.T) *lint.Loader {
 func moduleInfo(t *testing.T) (root, path string) {
 	_, file, _, ok := runtime.Caller(0)
 	if !ok {
-		t.Fatal("linttest: cannot locate caller")
+		t.Fatal("fixture: cannot locate caller")
 	}
-	// internal/lint/linttest/linttest.go -> module root three levels up.
-	return filepath.Join(filepath.Dir(file), "..", "..", ".."), "repro"
+	// internal/lint/fixture_test.go -> module root two levels up.
+	return filepath.Join(filepath.Dir(file), "..", ".."), "repro"
 }
 
 func dirHasGo(dir string) bool {
@@ -67,12 +67,12 @@ func dirHasGo(dir string) bool {
 	return err == nil && len(m) > 0
 }
 
-// Run loads the fixture package (an import path under testdata/src), runs
+// runFixture loads the fixture package (an import path under testdata/src), runs
 // the given analyzers through the full pipeline, and diffs the resulting
 // diagnostics against the fixture's want-comments.
-func Run(t *testing.T, fixture string, analyzers ...*lint.Analyzer) {
+func runFixture(t *testing.T, fixture string, analyzers ...*lint.Analyzer) {
 	t.Helper()
-	loader := NewLoader(t)
+	loader := fixtureLoader(t)
 	pkg, err := loader.Load(fixture)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", fixture, err)

@@ -4,9 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/lint"
-	"repro/internal/lint/linttest"
 )
 
 func TestFloatAccum(t *testing.T) {
-	linttest.Run(t, "floataccum", lint.FloatAccum)
+	runFixture(t, "floataccum", lint.FloatAccum)
 }

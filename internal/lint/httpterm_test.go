@@ -4,9 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/lint"
-	"repro/internal/lint/linttest"
 )
 
 func TestHTTPTerm(t *testing.T) {
-	linttest.Run(t, "httpterm", lint.HTTPTerm)
+	runFixture(t, "httpterm", lint.HTTPTerm)
 }

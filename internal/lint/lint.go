@@ -16,8 +16,8 @@
 // the three pieces it needs on the standard library alone: a package loader
 // built on go/parser + go/types with a source-based importer (load.go), the
 // Analyzer/Pass/Diagnostic triple (this file), and an analysistest-style
-// fixture runner driven by `// want` comments (linttest). The API shapes are
-// kept close enough to x/tools that migrating an analyzer to a real
+// fixture runner driven by `// want` comments (fixture_test.go). The API
+// shapes are kept close enough to x/tools that migrating an analyzer to a real
 // *analysis.Analyzer is mechanical should the dependency ever land.
 package lint
 

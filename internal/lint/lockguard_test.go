@@ -4,9 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/lint"
-	"repro/internal/lint/linttest"
 )
 
 func TestLockGuard(t *testing.T) {
-	linttest.Run(t, "lockguard", lint.LockGuard)
+	runFixture(t, "lockguard", lint.LockGuard)
 }

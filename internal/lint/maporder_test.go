@@ -4,9 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/lint"
-	"repro/internal/lint/linttest"
 )
 
 func TestMapOrder(t *testing.T) {
-	linttest.Run(t, "maporder", lint.MapOrder)
+	runFixture(t, "maporder", lint.MapOrder)
 }

@@ -67,7 +67,7 @@ func loadMutated(t *testing.T, pkgDir, importPath string, mutations map[string]s
 			t.Fatalf("mutation anchor not found anywhere in %s: %q", pkgDir, old)
 		}
 	}
-	// Resolve against the REAL module (not linttest's fixture-first loader:
+	// Resolve against the REAL module (not fixtureLoader's fixture-first lookup:
 	// testdata/src carries a fake repro/internal/trace that would shadow
 	// the real one), with only the target package redirected to the copy.
 	loader := lint.NewLoader(moduleRoot(t), "repro")

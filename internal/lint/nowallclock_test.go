@@ -4,9 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/lint"
-	"repro/internal/lint/linttest"
 )
 
 func TestNoWallClock(t *testing.T) {
-	linttest.Run(t, "nowallclock", lint.NoWallClock)
+	runFixture(t, "nowallclock", lint.NoWallClock)
 }

@@ -4,16 +4,15 @@ import (
 	"testing"
 
 	"repro/internal/lint"
-	"repro/internal/lint/linttest"
 )
 
 func TestSeedFlow(t *testing.T) {
-	linttest.Run(t, "seedflow", lint.SeedFlow)
+	runFixture(t, "seedflow", lint.SeedFlow)
 }
 
 // TestSeedFlowDistExempt loads a fixture whose import path ends in
 // /internal/dist: the substrate package may construct raw generators, so the
 // fixture has no want-comments and must stay silent.
 func TestSeedFlowDistExempt(t *testing.T) {
-	linttest.Run(t, "x/internal/dist", lint.SeedFlow)
+	runFixture(t, "x/internal/dist", lint.SeedFlow)
 }

@@ -9,9 +9,13 @@ import (
 // This file holds lightweight re-implementations of three vet-family
 // analyzers the simlint multichecker assembles alongside the project
 // analyzers: copylocks, lostcancel and nilness. `go vet ./...` (which `make
-// lint` runs first) carries the full-strength copylocks and lostcancel;
-// these stdlib-only versions exist so simlint remains a complete, single
-// binary — and because nilness is not in vet's default suite at all.
+// lint` runs first) runs its own copylocks and lostcancel, but they do not
+// cover these: vet (Go 1.24) passes both fixtures' named lock-bearing
+// result (testdata/src/copylocks/a.go, flaggedResult) and cancel func
+// stored in a package var (testdata/src/lostcancel/a.go, flaggedUnused)
+// without a finding. These stdlib-only versions also keep simlint a
+// complete, single binary, and nilness is not in vet's default suite at
+// all.
 // The upstream nilness is built on SSA from golang.org/x/tools, which the
 // offline build cannot vendor, so NilnessLite covers the highest-value
 // subset syntactically: a dereference of a variable inside the very branch

@@ -4,17 +4,16 @@ import (
 	"testing"
 
 	"repro/internal/lint"
-	"repro/internal/lint/linttest"
 )
 
 func TestCopyLocks(t *testing.T) {
-	linttest.Run(t, "copylocks", lint.CopyLocks)
+	runFixture(t, "copylocks", lint.CopyLocks)
 }
 
 func TestLostCancel(t *testing.T) {
-	linttest.Run(t, "lostcancel", lint.LostCancel)
+	runFixture(t, "lostcancel", lint.LostCancel)
 }
 
 func TestNilnessLite(t *testing.T) {
-	linttest.Run(t, "nilness", lint.NilnessLite)
+	runFixture(t, "nilness", lint.NilnessLite)
 }

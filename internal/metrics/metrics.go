@@ -40,10 +40,6 @@ const (
 	NumMetrics
 )
 
-// UtilizationMetrics lists the percentage-valued metrics that the
-// utilization analyses (Figs. 4, 5, 7, 10, 11, 14, 16) iterate over.
-var UtilizationMetrics = []Metric{SMUtil, MemUtil, MemSize}
-
 // BottleneckMetrics lists the metrics considered by the bottleneck analyses
 // (Figs. 7b, 8): a job is bottlenecked on a metric when it touches the
 // metric's capacity during its run.
@@ -67,23 +63,6 @@ func (m Metric) String() string {
 	default:
 		return fmt.Sprintf("metric(%d)", int(m))
 	}
-}
-
-// Unit returns the metric's unit label.
-func (m Metric) Unit() string {
-	if m == Power {
-		return "W"
-	}
-	return "%"
-}
-
-// Capacity returns the metric's saturation value in its own unit given the
-// device's power limit in watts. Percent metrics saturate at 100.
-func (m Metric) Capacity(powerLimitWatts float64) float64 {
-	if m == Power {
-		return powerLimitWatts
-	}
-	return 100
 }
 
 // Sample is one time-stamped observation of every metric on one GPU, the

@@ -127,3 +127,24 @@ func TestSampleShape(t *testing.T) {
 		t.Fatal("sample storage wrong")
 	}
 }
+
+// UtilizationMetrics lists the percentage-valued metrics that the
+// utilization analyses (Figs. 4, 5, 7, 10, 11, 14, 16) iterate over.
+var UtilizationMetrics = []Metric{SMUtil, MemUtil, MemSize}
+
+// Unit returns the metric's unit label.
+func (m Metric) Unit() string {
+	if m == Power {
+		return "W"
+	}
+	return "%"
+}
+
+// Capacity returns the metric's saturation value in its own unit given the
+// device's power limit in watts. Percent metrics saturate at 100.
+func (m Metric) Capacity(powerLimitWatts float64) float64 {
+	if m == Power {
+		return powerLimitWatts
+	}
+	return 100
+}

@@ -222,28 +222,10 @@ type Pipeline struct {
 	summaries map[int64][]metrics.MetricSummaries
 	series    map[int64]*trace.TimeSeries
 	seed      uint64
-	sink      EpilogSink
 
 	faults  FaultPlan
 	dropped int64
 	stalled int
-}
-
-// EpilogSink receives each job's finalized telemetry as the epilog copies
-// it to central storage — the streaming hand-off that replaces the batch
-// "export everything at the end" join. trace.SegStore implements it: staged
-// telemetry is joined to the scheduler-side record when that record is
-// appended, mirroring the paper's §II job-ID join.
-type EpilogSink interface {
-	StageTelemetry(jobID int64, perGPU []metrics.MetricSummaries, ts *trace.TimeSeries)
-}
-
-// SetSink registers sink to receive the output of every subsequent Epilog
-// (pass nil to detach). Safe for concurrent use with Epilog.
-func (p *Pipeline) SetSink(sink EpilogSink) {
-	p.mu.Lock()
-	p.sink = sink
-	p.mu.Unlock()
 }
 
 // NewPipeline builds a pipeline.
@@ -310,9 +292,6 @@ func (p *Pipeline) Epilog(m *JobMonitor) error {
 	}
 	p.recordFaultEffects(m)
 	buf.drain()
-	if p.sink != nil {
-		p.sink.StageTelemetry(m.JobID, sums, ts)
-	}
 	return nil
 }
 

@@ -8,31 +8,31 @@ import (
 	"repro/internal/trace"
 )
 
-// TestEpilogSinkStreamsIntoSegStore pins the streaming hand-off: every
-// epilog stages its telemetry into the attached store, and appending the
-// scheduler-side record completes the §II join with the same digest the
-// central store holds.
+// TestEpilogSinkStreamsIntoSegStore pins the streaming hand-off: an
+// epilog's central-store output, staged into a SegStore the way simcloudd's
+// /v1/telemetry stages it, is joined when the scheduler-side record is
+// appended, with the same digest the central store holds.
 func TestEpilogSinkStreamsIntoSegStore(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RetainSeries = true
 	p := newTestPipeline(t, cfg)
 	st := trace.NewSegStore(trace.SegConfig{DurationDays: 1})
-	p.SetSink(st)
 
 	prof := testProfile(t, 600, 0.5, 80)
 	m := p.Prolog(31, 0, gpu.V100(), gpu.DefaultPowerModel(), []Source{prof, prof}, true)
 	if err := p.Epilog(m); err != nil {
 		t.Fatal(err)
 	}
+	st.StageTelemetry(31, p.Summaries(31), p.Series(31))
 	if n := st.StagedJobs(); n != 1 {
 		t.Fatalf("staged = %d, want 1", n)
 	}
 
-	// The scheduler-side record arrives bare; Append joins it.
-	st.Append(trace.JobRecord{
+	// The scheduler-side record arrives bare; the append joins it.
+	st.AppendBatch([]trace.JobRecord{{
 		JobID: 31, User: 1, NumGPUs: 2, Cores: 8, MemGB: 16,
 		SubmitSec: 0, WaitSec: 5, RunSec: 600, LimitSec: 3600,
-	})
+	}})
 	if n := st.StagedJobs(); n != 0 {
 		t.Fatalf("staged = %d after join, want 0", n)
 	}
@@ -55,15 +55,5 @@ func TestEpilogSinkStreamsIntoSegStore(t *testing.T) {
 	}
 	if v.Cols.Series(31) == nil {
 		t.Error("retained series not attached at join")
-	}
-
-	// Detaching stops the flow.
-	p.SetSink(nil)
-	m2 := p.Prolog(32, 0, gpu.V100(), gpu.DefaultPowerModel(), []Source{prof}, false)
-	if err := p.Epilog(m2); err != nil {
-		t.Fatal(err)
-	}
-	if n := st.StagedJobs(); n != 0 {
-		t.Fatalf("staged = %d after detach, want 0", n)
 	}
 }

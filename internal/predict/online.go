@@ -92,9 +92,6 @@ func (c *OnlineClassifier) Observe(f Features, cat trace.Category) {
 	}
 }
 
-// Observations reports how many completed jobs the classifier has seen.
-func (c *OnlineClassifier) Observations() int { return int(c.n) }
-
 // Classify returns the nearest category centroid under globally scaled
 // Euclidean distance, or (0, false) while the model is cold (fewer than two
 // observed categories). Ties break toward the lower category index, keeping
@@ -176,10 +173,6 @@ func (f *RuntimeForecaster) initQuantiles() {
 		}
 	}
 }
-
-// Observed reports how many runtimes the forecaster has been offered
-// (including any dropped after a freeze).
-func (f *RuntimeForecaster) Observed() int { return f.observed }
 
 // Observe feeds one completed job's true runtime and life-cycle category.
 func (f *RuntimeForecaster) Observe(user int, cat trace.Category, runSec float64) {

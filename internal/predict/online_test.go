@@ -29,13 +29,13 @@ func TestOnlineClassifierColdAndSeparable(t *testing.T) {
 	if got, ok := c.Classify(MakeFeatures(75, 15, 38, 0.85, false, true, 24)); !ok || got != trace.Mature {
 		t.Fatalf("near-mature features classified as %v (ok=%v)", got, ok)
 	}
-	if c.Observations() != 11 {
-		t.Fatalf("observations = %d", c.Observations())
+	if int(c.n) != 11 {
+		t.Fatalf("observations = %d", int(c.n))
 	}
 	// Out-of-range categories are dropped, not stored.
 	c.Observe(ide, trace.Category(-1))
 	c.Observe(ide, trace.NumCategories)
-	if c.Observations() != 11 {
+	if int(c.n) != 11 {
 		t.Fatal("out-of-range category absorbed")
 	}
 }
@@ -128,7 +128,7 @@ func TestRuntimeForecasterKnobs(t *testing.T) {
 	if v, _ := frozen.Predict(1, 1e9); v != 100 {
 		t.Fatalf("frozen estimate = %v, want the pre-freeze 100", v)
 	}
-	if frozen.Observed() != 25 {
-		t.Fatalf("observed = %d, want 25 offered", frozen.Observed())
+	if frozen.observed != 25 {
+		t.Fatalf("observed = %d, want 25 offered", frozen.observed)
 	}
 }

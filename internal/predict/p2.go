@@ -153,6 +153,3 @@ func (q *P2Quantile) Value() (float64, bool) {
 		return q.heights[2], true
 	}
 }
-
-// N returns the number of observations.
-func (q *P2Quantile) N() int { return q.n }

@@ -8,6 +8,9 @@ import (
 	"repro/internal/workload"
 )
 
+// The merge plan is the queueing experiment of merge_test.go: no production
+// path fuses jobs.
+
 // MergePlan records how single-GPU jobs were fused into shared-GPU bundles
 // for scheduling, so results can be attributed back to the original jobs.
 type MergePlan struct {

@@ -502,3 +502,24 @@ func TestSimulatedLossMatchesAnalyticReliability(t *testing.T) {
 			ratio, simLost, analyticLost)
 	}
 }
+
+// AvailabilityMean returns the time-weighted mean fraction of GPU capacity
+// in service over the recorded window.
+func (t *Telemetry) AvailabilityMean(totalGPUs int) float64 {
+	if len(t.Points) < 2 || totalGPUs == 0 {
+		return 1
+	}
+	var weighted, total float64
+	for i := 1; i < len(t.Points); i++ {
+		dur := t.Points[i].TimeSec - t.Points[i-1].TimeSec
+		if dur <= 0 {
+			continue
+		}
+		weighted += dur * float64(totalGPUs-t.Points[i-1].DownGPUs)
+		total += dur
+	}
+	if total == 0 {
+		return 1
+	}
+	return weighted / (total * float64(totalGPUs))
+}

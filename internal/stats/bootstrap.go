@@ -16,12 +16,6 @@ type CI struct {
 	Level float64
 }
 
-// Contains reports whether v lies inside the interval.
-func (c CI) Contains(v float64) bool { return v >= c.Lo && v <= c.Hi }
-
-// Width returns Hi − Lo.
-func (c CI) Width() float64 { return c.Hi - c.Lo }
-
 // BootstrapCI estimates a percentile-bootstrap confidence interval for
 // stat(xs) using resamples resampling rounds at the given level (e.g. 0.95).
 // It is deterministic for a fixed seed. Inputs with fewer than two values
@@ -54,9 +48,4 @@ func BootstrapCI(xs []float64, stat func([]float64) float64, resamples int, leve
 	out.Lo = quantileSorted(vals, alpha)
 	out.Hi = quantileSorted(vals, 1-alpha)
 	return out
-}
-
-// MedianCI is a convenience wrapper bootstrapping the median.
-func MedianCI(xs []float64, resamples int, level float64, seed uint64) CI {
-	return BootstrapCI(xs, Median, resamples, level, seed)
 }

@@ -32,9 +32,6 @@ func NewConcentration(contributions []float64) *Concentration {
 	return c
 }
 
-// N returns the number of contributors.
-func (c *Concentration) N() int { return len(c.sortedAsc) }
-
 // TopShare returns the fraction of the total contributed by the top
 // topFrac (in (0,1]) of contributors. TopShare(0.05) answers "what share do
 // the top 5 % of users hold".

@@ -87,19 +87,6 @@ func pearson(xs, ys []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// Pearson returns the Pearson linear correlation of xs and ys (exported for
-// the ablation benches that contrast rank vs. linear correlation).
-func Pearson(xs, ys []float64) float64 {
-	n := len(xs)
-	if len(ys) < n {
-		n = len(ys)
-	}
-	if n < 2 {
-		return math.NaN()
-	}
-	return pearson(xs[:n], ys[:n])
-}
-
 // studentTSF returns the survival function P(T > t) of Student's t with df
 // degrees of freedom, via the regularized incomplete beta function.
 func studentTSF(t, df float64) float64 {

@@ -93,11 +93,11 @@ func TestSpearmanSignificanceAtModerateCorrelation(t *testing.T) {
 func TestPearsonKnown(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{2, 4, 6, 8}
-	if r := Pearson(xs, ys); !almost(r, 1, 1e-12) {
+	if r := pearson(xs, ys); !almost(r, 1, 1e-12) {
 		t.Fatalf("pearson = %v, want 1", r)
 	}
-	if r := Pearson(xs, nil); !math.IsNaN(r) {
-		t.Fatalf("pearson of empty = %v, want NaN", r)
+	if r := pearson(xs, []float64{3, 3, 3, 3}); !math.IsNaN(r) {
+		t.Fatalf("pearson against a constant = %v, want NaN", r)
 	}
 }
 

@@ -36,17 +36,6 @@ func NewECDFSorted(sorted []float64) *ECDF {
 // N returns the number of observations.
 func (e *ECDF) N() int { return len(e.sorted) }
 
-// At returns F(x) = P(X <= x), the fraction of observations at or below x.
-// It returns NaN for an empty ECDF.
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	// Index of the first element strictly greater than x.
-	i := sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > x })
-	return float64(i) / float64(len(e.sorted))
-}
-
 // Quantile returns the p-quantile with linear interpolation, consistent with
 // stats.Quantile.
 func (e *ECDF) Quantile(p float64) float64 {
@@ -55,9 +44,6 @@ func (e *ECDF) Quantile(p float64) float64 {
 	}
 	return quantileSorted(e.sorted, p)
 }
-
-// Median returns the 0.5 quantile.
-func (e *ECDF) Median() float64 { return e.Quantile(0.5) }
 
 // Min returns the smallest observation, or NaN when empty.
 func (e *ECDF) Min() float64 {
@@ -101,28 +87,6 @@ func (e *ECDF) Points(maxPoints int) []Point {
 		pts = append(pts, Point{X: last, F: 1})
 	}
 	return pts
-}
-
-// KolmogorovDistance returns the Kolmogorov–Smirnov statistic between this
-// ECDF and other: sup_x |F1(x) - F2(x)|. The calibration tests use it to
-// check that generated marginals track their target distributions, and the
-// Fig. 4b analysis uses it to quantify "approximately uniform".
-func (e *ECDF) KolmogorovDistance(other *ECDF) float64 {
-	if e.N() == 0 || other.N() == 0 {
-		return math.NaN()
-	}
-	var d float64
-	for _, x := range e.sorted {
-		if diff := math.Abs(e.At(x) - other.At(x)); diff > d {
-			d = diff
-		}
-	}
-	for _, x := range other.sorted {
-		if diff := math.Abs(e.At(x) - other.At(x)); diff > d {
-			d = diff
-		}
-	}
-	return d
 }
 
 // UniformityDistance returns the KS statistic between this ECDF and the

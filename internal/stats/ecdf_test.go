@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -124,3 +125,38 @@ func TestECDFProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// KolmogorovDistance returns the Kolmogorov–Smirnov statistic between this
+// ECDF and other: sup_x |F1(x) - F2(x)|, the two-sample form of
+// UniformityDistance.
+func (e *ECDF) KolmogorovDistance(other *ECDF) float64 {
+	if e.N() == 0 || other.N() == 0 {
+		return math.NaN()
+	}
+	var d float64
+	for _, x := range e.sorted {
+		if diff := math.Abs(e.At(x) - other.At(x)); diff > d {
+			d = diff
+		}
+	}
+	for _, x := range other.sorted {
+		if diff := math.Abs(e.At(x) - other.At(x)); diff > d {
+			d = diff
+		}
+	}
+	return d
+}
+
+// At returns F(x) = P(X <= x), the fraction of observations at or below x.
+// It returns NaN for an empty ECDF.
+func (e *ECDF) At(x float64) float64 {
+	if len(e.sorted) == 0 {
+		return math.NaN()
+	}
+	// Index of the first element strictly greater than x.
+	i := sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > x })
+	return float64(i) / float64(len(e.sorted))
+}
+
+// Median returns the 0.5 quantile.
+func (e *ECDF) Median() float64 { return e.Quantile(0.5) }

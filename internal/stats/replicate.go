@@ -28,15 +28,6 @@ func (a *Agg) Add(v float64) {
 	}
 }
 
-// Merge folds another aggregate's values after this one's, preserving fold
-// order (this's replications first, then o's). The replication engine always
-// merges in replication-index order, so the result is independent of which
-// worker produced which piece.
-func (a *Agg) Merge(o *Agg) {
-	a.values = append(a.values, o.values...)
-	a.moments.Merge(&o.moments)
-}
-
 // N returns the number of replications folded in, including NaNs.
 func (a *Agg) N() int { return len(a.values) }
 
@@ -82,9 +73,6 @@ func (a *Agg) Quantile(p float64) float64 {
 
 // Median returns the across-replication median.
 func (a *Agg) Median() float64 { return a.Quantile(0.5) }
-
-// ECDF returns the empirical CDF of the replication distribution.
-func (a *Agg) ECDF() *ECDF { return NewECDF(a.values) }
 
 // MeanCI bootstraps a confidence interval for the across-replication mean.
 // Deterministic for a fixed seed.

@@ -116,3 +116,12 @@ func TestAggEmpty(t *testing.T) {
 		t.Fatalf("empty N = %d", a.N())
 	}
 }
+
+// Merge folds another aggregate's values after this one's, preserving fold
+// order (this's replications first, then o's). The replication engine always
+// merges in replication-index order, so the result is independent of which
+// worker produced which piece.
+func (a *Agg) Merge(o *Agg) {
+	a.values = append(a.values, o.values...)
+	a.moments.Merge(&o.moments)
+}

@@ -199,8 +199,8 @@ func TestConcentrationByteIdentical(t *testing.T) {
 			}
 		}
 		got, want := NewConcentration(xs), newReverseSortedConcentration(xs)
-		if got.N() != len(want.sortedDesc) {
-			t.Fatalf("trial %d: N %d vs %d", trial, got.N(), len(want.sortedDesc))
+		if len(got.sortedAsc) != len(want.sortedDesc) {
+			t.Fatalf("trial %d: N %d vs %d", trial, len(got.sortedAsc), len(want.sortedDesc))
 		}
 		for _, f := range fracs {
 			g, w := got.TopShare(f), want.topShare(f)

@@ -61,18 +61,6 @@ func (s *Streaming) Variance() float64 {
 // StdDev returns the running population standard deviation.
 func (s *Streaming) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
-// CoVPct returns the running coefficient of variation in percent, NaN when
-// undefined (no data or zero mean).
-func (s *Streaming) CoVPct() float64 {
-	if s.n == 0 || s.mean == 0 {
-		return math.NaN()
-	}
-	if s.n == 1 {
-		return 0
-	}
-	return s.StdDev() / math.Abs(s.mean) * 100
-}
-
 // Min returns the smallest observation, or NaN before any observation.
 func (s *Streaming) Min() float64 {
 	if !s.hasSamples {

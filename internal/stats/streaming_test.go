@@ -112,8 +112,8 @@ func TestConcentrationTopShare(t *testing.T) {
 	// 10 users: one submits 91, the rest submit 1 each.
 	contrib := []float64{91, 1, 1, 1, 1, 1, 1, 1, 1, 1}
 	c := NewConcentration(contrib)
-	if c.N() != 10 {
-		t.Fatalf("N = %d", c.N())
+	if len(c.sortedAsc) != 10 {
+		t.Fatalf("N = %d", len(c.sortedAsc))
 	}
 	if share := c.TopShare(0.1); !almost(share, 0.91, 1e-12) {
 		t.Fatalf("top-10%% share = %v, want 0.91", share)
@@ -145,47 +145,14 @@ func TestLorenzCurve(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 100, 10)
-	h.AddAll([]float64{5, 15, 15, 95, 100, -3, math.NaN()})
-	// 100 clamps into last bin; -3 clamps into first; NaN dropped.
-	if h.Total() != 6 {
-		t.Fatalf("total = %d, want 6", h.Total())
+// CoVPct returns the running coefficient of variation in percent, NaN when
+// undefined (no data or zero mean).
+func (s *Streaming) CoVPct() float64 {
+	if s.n == 0 || s.mean == 0 {
+		return math.NaN()
 	}
-	if h.Counts[0] != 2 { // 5 and -3
-		t.Fatalf("bin0 = %d, want 2", h.Counts[0])
+	if s.n == 1 {
+		return 0
 	}
-	if h.Counts[1] != 2 {
-		t.Fatalf("bin1 = %d, want 2", h.Counts[1])
-	}
-	if h.Counts[9] != 2 { // 95 and 100
-		t.Fatalf("bin9 = %d, want 2", h.Counts[9])
-	}
-	fr := h.Fractions()
-	var sum float64
-	for _, f := range fr {
-		sum += f
-	}
-	if !almost(sum, 1, 1e-12) {
-		t.Fatalf("fractions sum to %v", sum)
-	}
-	if c := h.BinCenter(0); !almost(c, 5, 1e-12) {
-		t.Fatalf("bin center = %v", c)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 1, 0) },
-		func() { NewHistogram(1, 1, 5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
+	return s.StdDev() / math.Abs(s.mean) * 100
 }

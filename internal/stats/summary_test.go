@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -176,4 +177,100 @@ func TestSummarizeConsistencyProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Summary bundles the descriptive statistics reported for each metric in the
+// trace dataset (the paper collects min/mean/max per job, and the analyses
+// add quartiles and CoV).
+type Summary struct {
+	N             int
+	Min, Max      float64
+	Mean          float64
+	StdDev        float64
+	P25, P50, P75 float64
+	CoVPct        float64 // coefficient of variation, percent
+	Sum           float64
+}
+
+// Summarize computes a Summary of xs. An empty input yields a Summary with
+// N=0 and NaN statistics.
+func Summarize(xs []float64) Summary {
+	s := Summary{N: len(xs)}
+	if len(xs) == 0 {
+		nan := math.NaN()
+		s.Min, s.Max, s.Mean, s.StdDev = nan, nan, nan, nan
+		s.P25, s.P50, s.P75, s.CoVPct, s.Sum = nan, nan, nan, nan, 0
+		return s
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	s.Min, s.Max = sorted[0], sorted[len(sorted)-1]
+	s.Sum = Sum(xs)
+	s.Mean = s.Sum / float64(len(xs))
+	var ss float64
+	for _, x := range xs {
+		d := x - s.Mean
+		ss += d * d
+	}
+	s.StdDev = math.Sqrt(ss / float64(len(xs)))
+	s.P25 = quantileSorted(sorted, 0.25)
+	s.P50 = quantileSorted(sorted, 0.50)
+	s.P75 = quantileSorted(sorted, 0.75)
+	if s.Mean != 0 && len(xs) > 1 {
+		s.CoVPct = s.StdDev / math.Abs(s.Mean) * 100
+	} else if len(xs) == 1 {
+		s.CoVPct = 0
+	} else {
+		s.CoVPct = math.NaN()
+	}
+	return s
+}
+
+// Variance returns the population variance of xs, or NaN if xs is empty.
+func Variance(xs []float64) float64 {
+	_, v := MeanVariance(xs)
+	return v
+}
+
+// StdDev returns the population standard deviation of xs.
+func StdDev(xs []float64) float64 {
+	_, v := MeanVariance(xs)
+	return math.Sqrt(v)
+}
+
+// Min returns the minimum of xs, or NaN if xs is empty.
+func Min(xs []float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x < m {
+			m = x
+		}
+	}
+	return m
+}
+
+// Max returns the maximum of xs, or NaN if xs is empty.
+func Max(xs []float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x > m {
+			m = x
+		}
+	}
+	return m
+}
+
+// Sum returns the sum of xs.
+func Sum(xs []float64) float64 {
+	var s float64
+	for _, x := range xs {
+		s += x
+	}
+	return s
 }

@@ -44,29 +44,33 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 	row := make([]string, 0, 17+3*int(metrics.NumMetrics))
 	for i := range d.Jobs {
 		j := &d.Jobs[i]
-		row = row[:0]
-		row = append(row,
-			strconv.FormatInt(j.JobID, 10),
-			strconv.Itoa(j.User),
-			strconv.Itoa(int(j.Interface)),
-			strconv.Itoa(int(j.Exit)),
-			fmtF(j.SubmitSec), fmtF(j.WaitSec), fmtF(j.RunSec), fmtF(j.LimitSec),
-			strconv.Itoa(j.NumGPUs),
-			strconv.Itoa(j.CoresPerGPU),
-			strconv.Itoa(j.Cores),
-			fmtF(j.MemGB),
-		)
-		for m := metrics.Metric(0); m < metrics.NumMetrics; m++ {
-			row = append(row, fmtF(j.GPU[m].Min), fmtF(j.GPU[m].Mean), fmtF(j.GPU[m].Max))
-		}
-		row = append(row, fmtF(j.HostCPU.Min), fmtF(j.HostCPU.Mean), fmtF(j.HostCPU.Max))
-		row = append(row, strconv.Itoa(j.Requeues), fmtF(j.FailureLossSec))
+		row = appendCSVRow(row[:0], j)
 		if err := cw.Write(row); err != nil {
 			return fmt.Errorf("trace: writing job %d: %w", j.JobID, err)
 		}
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// appendCSVRow appends j's columns, in csvHeader order, to row.
+func appendCSVRow(row []string, j *JobRecord) []string {
+	row = append(row,
+		strconv.FormatInt(j.JobID, 10),
+		strconv.Itoa(j.User),
+		strconv.Itoa(int(j.Interface)),
+		strconv.Itoa(int(j.Exit)),
+		fmtF(j.SubmitSec), fmtF(j.WaitSec), fmtF(j.RunSec), fmtF(j.LimitSec),
+		strconv.Itoa(j.NumGPUs),
+		strconv.Itoa(j.CoresPerGPU),
+		strconv.Itoa(j.Cores),
+		fmtF(j.MemGB),
+	)
+	for m := metrics.Metric(0); m < metrics.NumMetrics; m++ {
+		row = append(row, fmtF(j.GPU[m].Min), fmtF(j.GPU[m].Mean), fmtF(j.GPU[m].Max))
+	}
+	row = append(row, fmtF(j.HostCPU.Min), fmtF(j.HostCPU.Mean), fmtF(j.HostCPU.Max))
+	return append(row, strconv.Itoa(j.Requeues), fmtF(j.FailureLossSec))
 }
 
 // ReadCSV parses a job table written by WriteCSV into a new dataset with

@@ -149,15 +149,6 @@ func (d *Dataset) ByInterface() map[Interface][]*JobRecord {
 	return out
 }
 
-// TotalGPUHours sums GPU hours over the analysis population.
-func (d *Dataset) TotalGPUHours() float64 {
-	var total float64
-	for _, j := range d.GPUJobs() {
-		total += j.GPUHours()
-	}
-	return total
-}
-
 // Validate checks every record and the series linkage.
 func (d *Dataset) Validate() error {
 	ids := make(map[int64]bool, len(d.Jobs))

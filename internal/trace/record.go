@@ -7,7 +7,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/metrics"
 )
@@ -115,8 +114,7 @@ func (c Category) String() string {
 }
 
 // JobRecord is one row of the joined dataset. Durations are stored as
-// float64 seconds because that is what every downstream estimator consumes;
-// helper methods convert to time.Duration for display.
+// float64 seconds because that is what every downstream estimator consumes.
 type JobRecord struct {
 	JobID int64
 	User  int // anonymized user index
@@ -173,11 +171,6 @@ func (j *JobRecord) GPUHours() float64 {
 	return float64(j.NumGPUs) * j.RunSec / 3600
 }
 
-// RunDuration returns the run time as a time.Duration.
-func (j *JobRecord) RunDuration() time.Duration {
-	return time.Duration(j.RunSec * float64(time.Second))
-}
-
 // FinalizeGPUSummary recomputes the averaged GPU digest from PerGPU,
 // following the paper's stated methodology for multi-GPU jobs.
 func (j *JobRecord) FinalizeGPUSummary() {
@@ -195,10 +188,16 @@ func (j *JobRecord) Validate() error {
 		return fmt.Errorf("trace: job %d: negative id", j.JobID)
 	case j.User < 0:
 		return fmt.Errorf("trace: job %d: negative user", j.JobID)
-	case j.RunSec < 0 || j.WaitSec < 0 || j.SubmitSec < 0:
+	case j.RunSec < 0 || j.WaitSec < 0 || j.SubmitSec < 0 || j.LimitSec < 0:
 		return fmt.Errorf("trace: job %d: negative time fields", j.JobID)
 	case j.NumGPUs < 0:
 		return fmt.Errorf("trace: job %d: negative GPU count", j.JobID)
+	case j.Cores < 0 || j.CoresPerGPU < 0 || j.MemGB < 0:
+		return fmt.Errorf("trace: job %d: negative core or memory request", j.JobID)
+	case j.Interface < 0 || j.Interface >= NumInterfaces:
+		return fmt.Errorf("trace: job %d: interface %d out of range", j.JobID, j.Interface)
+	case j.Exit < 0 || j.Exit >= NumExitStatuses:
+		return fmt.Errorf("trace: job %d: exit status %d out of range", j.JobID, j.Exit)
 	case j.NumGPUs > 0 && len(j.PerGPU) > 0 && len(j.PerGPU) != j.NumGPUs:
 		return fmt.Errorf("trace: job %d: %d GPU summaries for %d GPUs", j.JobID, len(j.PerGPU), j.NumGPUs)
 	case j.Requeues < 0:
@@ -246,12 +245,4 @@ type TimeSeries struct {
 	JobID       int64
 	IntervalSec float64            // sampling cadence
 	PerGPU      [][]metrics.Sample // one stream per GPU
-}
-
-// Duration returns the covered time span in seconds.
-func (ts *TimeSeries) Duration() float64 {
-	if len(ts.PerGPU) == 0 || len(ts.PerGPU[0]) == 0 {
-		return 0
-	}
-	return float64(len(ts.PerGPU[0])) * ts.IntervalSec
 }

@@ -191,18 +191,6 @@ func NewSegStore(cfg SegConfig) *SegStore {
 	}
 }
 
-// Append adds one job record, the streaming counterpart of Dataset.Add: the
-// record is projected into every column immediately, so the cost is O(1)
-// amortized and no later query ever rebuilds. If GPU telemetry for the job
-// was staged via StageTelemetry, it is joined here (PerGPU adopted, series
-// attached) before projection.
-func (st *SegStore) Append(j JobRecord) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.appendLocked(j)
-	st.maybeSealLocked()
-}
-
 // AppendBatch adds records in order, sealing as thresholds are crossed.
 func (st *SegStore) AppendBatch(jobs []JobRecord) {
 	st.mu.Lock()
@@ -257,18 +245,9 @@ func (st *SegStore) AppendDatasetMax(ds *Dataset, maxJobs int) error {
 	return nil
 }
 
-// AttachSeries stores the detailed time series of a job.
-func (st *SegStore) AttachSeries(ts *TimeSeries) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.series[ts.JobID] = ts
-	st.gen++
-	st.snap = nil
-}
-
 // StageTelemetry parks monitoring-epilog output (per-GPU digests and the
 // optional retained series) for a job whose scheduler-side record has not
-// arrived yet. The next Append of that job ID joins it: a record with no
+// arrived yet. The next append of that job ID joins it: a record with no
 // PerGPU adopts the staged digests (recomputing the averaged GPU summary),
 // and the staged series is attached. This is how the monitoring pipeline
 // streams §II joins into the store as epilogs fire.
@@ -480,30 +459,4 @@ func (st *SegStore) Snapshot() *SegView {
 		Gen:      st.gen,
 	}
 	return st.snap
-}
-
-// Validate checks every appended record and the series linkage, the
-// streaming counterpart of Dataset.Validate.
-func (st *SegStore) Validate() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	ids := make(map[int64]bool, st.nJobs)
-	for _, chunk := range st.chunks {
-		for i := range chunk {
-			j := &chunk[i]
-			if err := j.Validate(); err != nil {
-				return err
-			}
-			if ids[j.JobID] {
-				return fmt.Errorf("trace: duplicate job id %d", j.JobID)
-			}
-			ids[j.JobID] = true
-		}
-	}
-	for id := range st.series {
-		if !ids[id] {
-			return fmt.Errorf("trace: time series for unknown job %d", id)
-		}
-	}
-	return nil
 }

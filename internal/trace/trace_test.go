@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
+	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -45,29 +48,68 @@ func TestRecordDerivedQuantities(t *testing.T) {
 	if gh := j.GPUHours(); gh != 2 {
 		t.Fatalf("GPU hours = %v, want 2", gh)
 	}
-	if j.RunDuration().Hours() != 1 {
-		t.Fatalf("run duration = %v", j.RunDuration())
-	}
 	zero := JobRecord{}
 	if zero.WaitFraction() != 0 {
 		t.Fatal("zero-service wait fraction not 0")
 	}
 }
 
+// TestRecordValidate pins JobRecord.Validate as the one boundary every
+// record crosses: each rejected record is refused with its job ID by
+// Validate itself and by both decoders.
 func TestRecordValidate(t *testing.T) {
-	good := gpuJob(1, 0, 60, 2)
+	good := gpuJob(7, 0, 60, 2)
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := good
-	bad.PerGPU = bad.PerGPU[:1]
-	if err := bad.Validate(); err == nil {
-		t.Fatal("mismatched per-GPU count accepted")
+	cases := []struct {
+		name     string
+		mutate   func(*JobRecord)
+		jsonOnly bool // the CSV table carries no per-GPU summaries
+	}{
+		{"per-gpu-count", func(j *JobRecord) { j.PerGPU = j.PerGPU[:1] }, true},
+		{"negative-run", func(j *JobRecord) { j.RunSec = -1 }, false},
+		{"negative-limit", func(j *JobRecord) { j.LimitSec = -1 }, false},
+		{"negative-cores", func(j *JobRecord) { j.Cores = -1 }, false},
+		{"negative-cores-per-gpu", func(j *JobRecord) { j.CoresPerGPU = -4 }, false},
+		{"negative-mem", func(j *JobRecord) { j.MemGB = -1 }, false},
+		{"interface-negative", func(j *JobRecord) { j.Interface = -1 }, false},
+		{"interface-past-end", func(j *JobRecord) { j.Interface = NumInterfaces }, false},
+		{"exit-negative", func(j *JobRecord) { j.Exit = -1 }, false},
+		{"exit-past-end", func(j *JobRecord) { j.Exit = NumExitStatuses }, false},
 	}
-	neg := good
-	neg.RunSec = -1
-	if err := neg.Validate(); err == nil {
-		t.Fatal("negative run time accepted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := good
+			bad.PerGPU = append([]metrics.MetricSummaries(nil), good.PerGPU...)
+			tc.mutate(&bad)
+			check := func(path string, err error) {
+				t.Helper()
+				if err == nil {
+					t.Fatalf("%s accepted the record", path)
+				}
+				if !strings.Contains(err.Error(), "job 7") {
+					t.Fatalf("%s error %q does not name the job", path, err)
+				}
+			}
+			check("Validate", bad.Validate())
+			body, err := json.Marshal(jsonDataset{DurationDays: 1, Jobs: []JobRecord{bad}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = ReadJSON(bytes.NewReader(body))
+			check("ReadJSON", err)
+			if tc.jsonOnly {
+				return
+			}
+			var buf bytes.Buffer
+			cw := csv.NewWriter(&buf)
+			_ = cw.Write(csvHeader())
+			_ = cw.Write(appendCSVRow(nil, &bad))
+			cw.Flush()
+			_, err = ReadCSV(&buf, 1)
+			check("ReadCSV", err)
+		})
 	}
 }
 

@@ -135,12 +135,6 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	return g, nil
 }
 
-// Users returns the synthesized user population.
-func (g *Generator) Users() []User { return g.users }
-
-// Config returns the generator's configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
 // levelSamplers bundles the distributions behind per-job utilization draws.
 type levelSamplers struct {
 	smByCat     [trace.NumCategories]dist.Sampler

@@ -128,8 +128,8 @@ func TestCalibrationPopulation(t *testing.T) {
 	inBand(t, "top-5% user job share", conc.TopShare(0.05), 0.30, 0.58)
 	inBand(t, "top-20% user job share", conc.TopShare(0.20), 0.70, 0.92)
 	inBand(t, "median user job count", stats.Median(perUser), 15, 110)
-	if len(g.Users()) != g.Config().Users {
-		t.Fatalf("user count = %d", len(g.Users()))
+	if len(g.users) != g.cfg.Users {
+		t.Fatalf("user count = %d", len(g.users))
 	}
 }
 

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"repro/internal/dist"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -28,8 +27,6 @@ type HostLoadModel struct {
 	// CPUJobPct is the load of CPU-only jobs (they requested those cores to
 	// use them).
 	CPUJobPct float64
-	// NoiseRelPct is relative sampling noise in percent.
-	NoiseRelPct float64
 }
 
 // DefaultHostLoadModel returns the calibrated model: GPU jobs keep their
@@ -40,46 +37,7 @@ func DefaultHostLoadModel() HostLoadModel {
 		GPUIdlePct:         70,
 		InteractiveIdlePct: 4,
 		CPUJobPct:          88,
-		NoiseRelPct:        10,
 	}
-}
-
-// HostLoadAt returns the noiseless host-CPU utilization of spec at time t.
-func (m HostLoadModel) HostLoadAt(spec *JobSpec, t float64) float64 {
-	if !spec.IsGPU() {
-		return m.CPUJobPct
-	}
-	// Any GPU active → the host is feeding it.
-	active := false
-	for _, p := range spec.Profiles {
-		u := p.LevelAt(t)
-		if u.SMPct > 1 || u.MemPct > 1 {
-			active = true
-			break
-		}
-	}
-	if active {
-		return m.GPUActivePct
-	}
-	if spec.Interface == trace.Interactive {
-		return m.InteractiveIdlePct
-	}
-	return m.GPUIdlePct
-}
-
-// SampleHostLoad returns the observed host load at t with relative noise.
-func (m HostLoadModel) SampleHostLoad(spec *JobSpec, t float64, rng *dist.RNG) float64 {
-	v := m.HostLoadAt(spec, t)
-	if m.NoiseRelPct > 0 && v > 0 {
-		v *= 1 + m.NoiseRelPct/100*rng.NormFloat64()
-	}
-	if v < 0 {
-		v = 0
-	}
-	if v > 100 {
-		v = 100
-	}
-	return v
 }
 
 // HostLoadDigest computes the host-CPU digest analytically from the job's

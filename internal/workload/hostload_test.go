@@ -120,3 +120,46 @@ func (m HostLoadModel) hostLoadSummary(spec *JobSpec, intervalSec float64, rng *
 	}
 	return min, sum / float64(n), max
 }
+
+// HostLoadAt returns the noiseless host-CPU utilization of spec at time t:
+// the sampled model that HostLoadDigest is cross-checked against.
+func (m HostLoadModel) HostLoadAt(spec *JobSpec, t float64) float64 {
+	if !spec.IsGPU() {
+		return m.CPUJobPct
+	}
+	// Any GPU active → the host is feeding it.
+	active := false
+	for _, p := range spec.Profiles {
+		u := p.LevelAt(t)
+		if u.SMPct > 1 || u.MemPct > 1 {
+			active = true
+			break
+		}
+	}
+	if active {
+		return m.GPUActivePct
+	}
+	if spec.Interface == trace.Interactive {
+		return m.InteractiveIdlePct
+	}
+	return m.GPUIdlePct
+}
+
+// hostLoadNoiseRelPct is the relative sampling noise, in percent, of the
+// sampled host-load model.
+const hostLoadNoiseRelPct = 10
+
+// SampleHostLoad returns the observed host load at t with relative noise.
+func (m HostLoadModel) SampleHostLoad(spec *JobSpec, t float64, rng *dist.RNG) float64 {
+	v := m.HostLoadAt(spec, t)
+	if v > 0 {
+		v *= 1 + hostLoadNoiseRelPct/100.0*rng.NormFloat64()
+	}
+	if v < 0 {
+		v = 0
+	}
+	if v > 100 {
+		v = 100
+	}
+	return v
+}

@@ -75,9 +75,6 @@ func NewProfile(phases []Phase, noisePct float64) (*Profile, error) {
 // TotalSec returns the profile's duration.
 func (p *Profile) TotalSec() float64 { return p.cum[len(p.cum)-1] }
 
-// Phases returns the phase list (shared; callers must not mutate).
-func (p *Profile) Phases() []Phase { return p.phases }
-
 // ActiveFraction returns the share of time spent in active phases, the
 // quantity of Fig. 6a.
 func (p *Profile) ActiveFraction() float64 {

@@ -16,6 +16,12 @@ import (
 // profiles are re-synthesized from each GPU's min/mean/max digest — the only
 // information production monitoring keeps — so replayed phase structure is
 // approximate while per-job means are preserved.
+//
+// A GPU job recorded with run_sec 0 (it ended as it started, as real
+// exports contain) keeps RunSec 0, so the scheduler starts and ends it at
+// the same instant; its profile is synthesized over replayZeroRunSec
+// instead, since a profile needs a positive span and a zero-length run
+// reads only the profile's first instant.
 func ReplaySpecs(ds *trace.Dataset, seed uint64) []JobSpec {
 	rng := dist.New(seed ^ 0x5EED5EED5EED5EED)
 	specs := make([]JobSpec, 0, len(ds.Jobs))
@@ -71,6 +77,10 @@ func ReplaySpecs(ds *trace.Dataset, seed uint64) []JobSpec {
 	return specs
 }
 
+// replayZeroRunSec is the profile span ReplaySpecs gives a GPU job that
+// ran for 0 s.
+const replayZeroRunSec = 1
+
 // classifyForReplay mirrors lifecycle.Classify without importing it (that
 // package sits above workload in the dependency order).
 func classifyForReplay(j *trace.JobRecord) trace.Category {
@@ -96,6 +106,9 @@ func classifyForReplay(j *trace.JobRecord) trace.Category {
 // digests (max at capacity) get a burst so bottleneck analyses survive the
 // round trip.
 func ProfileFromSummary(d metrics.MetricSummaries, runSec float64, rng *dist.RNG) *Profile {
+	if runSec <= 0 {
+		runSec = replayZeroRunSec
+	}
 	sm := d[metrics.SMUtil]
 	mem := d[metrics.MemUtil]
 	msz := d[metrics.MemSize]
@@ -145,7 +158,8 @@ func ProfileFromSummary(d metrics.MetricSummaries, runSec float64, rng *dist.RNG
 	}, rng)
 	p, err := NewProfile(phases, 0)
 	if err != nil {
-		// SynthesizePhases guarantees at least one positive phase.
+		// runSec is positive, and the active and idle budgets then sum to
+		// it, so SynthesizePhases returns at least one positive phase.
 		panic(err)
 	}
 	return p
