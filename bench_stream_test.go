@@ -8,14 +8,18 @@
 // re-sorts from scratch. Commit 99d72da recorded the segmented rows
 // (BENCH_PR8.json) joined against the rebuild baseline
 // (bench/baseline_pr8.json); read them with `git show 99d72da:<file>`. The
-// acceptance bar was ≥10x at jobs=100k.
+// acceptance bar was ≥10x at jobs=100k. BenchmarkFiguresAfterAppend times
+// the live /v1/figures query itself: every figure over a fresh snapshot of
+// a 50k-job store, rendered.
 package repro
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/report"
 	"repro/internal/trace"
 )
 
@@ -120,6 +124,44 @@ func BenchmarkStreamingIngestRebuild(b *testing.B) {
 			}
 			b.ReportMetric(fp, "query-fingerprint")
 			b.ReportMetric(float64(len(ds.Jobs))/(b.Elapsed().Seconds()/float64(b.N)), "jobs/s")
+		})
+	}
+}
+
+// BenchmarkFiguresAfterAppend is one live /v1/figures query as simcloudd
+// answers it beside ingest: a 50k-job store with the server's segment
+// configuration takes one 1000-job append, then Snapshot + CharacterizeSeg
+// + RenderReport run over the fresh snapshot. Only that query is timed.
+// Before every iteration the store is rebuilt and queried once, untimed, so
+// its sealed runs are cached as on a server that has been answering
+// queries all along: the timed query pays what one append leaves to do.
+// The store holds the jobs without their monitored series, whose Fig. 6/7a
+// walk costs the same however the job columns are kept. workers=1 is the
+// serial cost, workers=2 the server's.
+func BenchmarkFiguresAfterAppend(b *testing.B) {
+	const baseJobs, appendJobs = 50_000, 1000
+	ds := charDataset(b, baseJobs+appendJobs)
+	base, batch := ds.Jobs[:baseJobs], ds.Jobs[baseJobs:baseJobs+appendJobs]
+	cfg := trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: trace.DefaultSegmentJobs, MaxSegments: 64}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				st := trace.NewSegStore(cfg)
+				st.AppendBatch(base)
+				if err := report.RenderReport(io.Discard, core.CharacterizeSeg(st.Snapshot(), workers)); err != nil {
+					b.Fatal(err)
+				}
+				st.AppendBatch(batch)
+				b.StartTimer()
+				err := report.RenderReport(io.Discard, core.CharacterizeSeg(st.Snapshot(), workers))
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1000/float64(b.N), "ms/query")
 		})
 	}
 }

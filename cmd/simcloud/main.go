@@ -92,13 +92,17 @@ func main() {
 		return
 	}
 
-	var specs []workload.JobSpec
+	var (
+		specs  []workload.JobSpec
+		replay *trace.Dataset
+	)
 	if *in != "" {
 		ds, err := loadDataset(*in, *days)
 		if err != nil {
 			log.Fatal(err)
 		}
-		specs = workload.ReplaySpecs(ds, *seed)
+		replay = ds
+		specs = workload.ReplaySpecs(ds)
 		gcfg.DurationDays = ds.DurationDays
 	} else {
 		gen, err := workload.NewGenerator(gcfg)
@@ -115,6 +119,9 @@ func main() {
 	specs, rejected = slurm.Feasible(scfg, specs)
 	if len(rejected) > 0 {
 		log.Printf("rejected %d jobs exceeding cluster capacity (Slurm partition limits)", len(rejected))
+	}
+	if replay != nil {
+		workload.ReplayProfiles(replay, specs, *seed)
 	}
 	if scfg.Monitor != nil {
 		// Detailed series for the scaled subset, chosen by stride.

@@ -47,7 +47,8 @@ func FuzzPipeline(f *testing.F) {
 		}
 		scfg := slurm.DefaultConfig()
 		scfg.Cluster.Nodes = 4
-		specs, _ := slurm.Feasible(scfg, workload.ReplaySpecs(ds, 1))
+		specs, _ := slurm.Feasible(scfg, workload.ReplaySpecs(ds))
+		workload.ReplayProfiles(ds, specs, 1)
 		sim, err := slurm.NewSimulator(scfg)
 		if err != nil {
 			t.Fatal(err)

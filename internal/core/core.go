@@ -9,9 +9,15 @@
 // Xxx(c *trace.Columns): pass ds.Columns() for a batch dataset or a
 // trace.SegView's Cols for a streaming snapshot. Characterize fans the
 // independent figures across a bounded worker pool, and CharacterizeSeg is
-// the same suite over a snapshot's Cols. Arrivals is the
-// one exception, taking the Dataset because it needs every job's submit
-// time. The pre-columnar row-walking implementations are preserved in the
+// the same suite over a snapshot's Cols. Arrivals is the one exception,
+// taking the Dataset because it needs every job's submit time.
+//
+// Figures that sort or count groups of jobs — Fig. 5 by interface
+// (Columns.IfaceMean), Figs. 7b/8 (Columns.Bottlenecks), Fig. 14
+// (Columns.MultiGPU) and Figs. 15–16 by life-cycle category
+// (Columns.ByCategory) — read columns and counters the projection fills as
+// each job is added. A live query therefore costs a tail sort plus a
+// selection per statistic, not a re-sort of the population. The pre-columnar row-walking implementations are preserved in the
 // package's tests (naive_test.go) as the executable specification the
 // columnar figures are tested against.
 package core
@@ -81,8 +87,10 @@ func cdfFromECDF(e *stats.ECDF) CDFStat {
 // figure); on a segmented-snapshot column it selects across the cached
 // sealed+tail runs, so a live query never materializes the merged slice.
 // Either way the digest is bit-identical to the merged-and-sorted path.
-func colCDF(col *trace.FloatColumn) CDFStat {
-	v := col.Stats()
+func colCDF(col *trace.FloatColumn) CDFStat { return viewCDF(col.Stats()) }
+
+// viewCDF digests an order-statistics view at the default resolution.
+func viewCDF(v *stats.RunsView) CDFStat {
 	return CDFStat{
 		N:   v.N(),
 		P25: v.Quantile(0.25), P50: v.Quantile(0.5), P75: v.Quantile(0.75),

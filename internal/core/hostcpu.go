@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/stats"
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // HostCPUResult supports the paper's §III scheduling rationale: "our system
 // administrators have determined that GPU jobs do not tend to have high CPU
@@ -19,11 +16,13 @@ type HostCPUResult struct {
 }
 
 // HostCPU computes the comparison from the host-CPU columns; the GPU
-// column's cached sort serves both the CDF and the under-50 % fraction.
+// column's order-statistics view serves both the CDF and the under-50 %
+// fraction.
 func HostCPU(c *trace.Columns) HostCPUResult {
+	gpuJobs := c.HostCPU.Stats()
 	return HostCPUResult{
-		GPUJobs:            colCDF(c.HostCPU),
+		GPUJobs:            viewCDF(gpuJobs),
 		CPUJobs:            colCDF(c.CPUHostCPU),
-		GPUJobsUnder50Frac: stats.FractionBelowSorted(c.HostCPU.Sorted(), 50),
+		GPUJobsUnder50Frac: gpuJobs.FractionBelow(50),
 	}
 }

@@ -23,20 +23,22 @@ type LifecycleResult struct {
 	Total int
 }
 
-// Lifecycle computes Figs. 15–16 by classifying every job of the columnar
-// GPU population.
+// Lifecycle computes Figs. 15–16 from the per-category columns the
+// projection fills as jobs are added: counts and GPU-hour sums for the
+// shares, and each category's sorted runs for the medians and box plots.
 func Lifecycle(c *trace.Columns) LifecycleResult {
-	jobs := c.GPU
-	b := lifecycle.Account(jobs)
-	groups := lifecycle.GroupByCategory(jobs)
-	var r LifecycleResult
-	r.Total = b.Total
-	for cat := trace.Category(0); cat < trace.NumCategories; cat++ {
-		r.JobShare[cat] = b.JobShare(cat)
-		r.HourShare[cat] = b.HourShare(cat)
-		r.MedianRunMin[cat] = stats.Median(trace.RunMinutes(groups[cat]))
-		for mi, m := range multiGPUMetrics {
-			r.Boxes[cat][mi] = stats.Box(trace.MeanValues(groups[cat], m))
+	r := LifecycleResult{Total: len(c.GPU)}
+	for cat := range c.ByCategory {
+		g := &c.ByCategory[cat]
+		if r.Total > 0 {
+			r.JobShare[cat] = float64(g.RunMin.N()) / float64(r.Total)
+		}
+		if c.TotalGPUHours != 0 {
+			r.HourShare[cat] = g.GPUHours / c.TotalGPUHours
+		}
+		r.MedianRunMin[cat] = g.RunMin.Stats().Quantile(0.5)
+		for k, col := range g.Mean {
+			r.Boxes[cat][k] = col.Stats().Box()
 		}
 	}
 	return r

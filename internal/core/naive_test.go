@@ -18,6 +18,44 @@ import (
 // naive_equiv_test.go). It is test code only; no build of the package
 // carries it.
 
+// The spec's thresholds and metric set: a GPU is idle below 1 % mean SM and
+// memory-bandwidth utilization, a job is bottlenecked on a metric whose
+// recorded maximum reaches 99 %, and Figs. 14 and 16 cover SM, memory
+// bandwidth and memory size.
+const (
+	idleGPUMeanSM          = 1.0
+	bottleneckThresholdPct = 99
+)
+
+var multiGPUMetrics = [3]metrics.Metric{metrics.SMUtil, metrics.MemUtil, metrics.MemSize}
+
+// meanValues extracts one metric's per-job mean across jobs.
+func meanValues(jobs []*trace.JobRecord, m metrics.Metric) []float64 {
+	out := make([]float64, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.GPU[m].Mean
+	}
+	return out
+}
+
+// runMinutes extracts run times in minutes.
+func runMinutes(jobs []*trace.JobRecord) []float64 {
+	out := make([]float64, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.RunSec / 60
+	}
+	return out
+}
+
+// sortedView is a one-run order-statistics view over a sorted copy of xs.
+// With a single run, RunsView's Box and UniformityDistance are the
+// single-slice formulas the stats tests pin them to.
+func sortedView(xs []float64) *stats.RunsView {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return stats.NewRunsView(s)
+}
+
 // naiveCharacterize is the serial row-walking Characterize.
 func naiveCharacterize(ds *trace.Dataset) *Report {
 	users := naiveAggregateUsers(ds)
@@ -45,8 +83,8 @@ func naiveCharacterize(ds *trace.Dataset) *Report {
 
 func naiveRuntimes(ds *trace.Dataset) RuntimeResult {
 	return RuntimeResult{
-		GPU: NewCDFStat(trace.RunMinutes(ds.GPUJobs()), curvePoints),
-		CPU: NewCDFStat(trace.RunMinutes(ds.CPUJobs()), curvePoints),
+		GPU: NewCDFStat(runMinutes(ds.GPUJobs()), curvePoints),
+		CPU: NewCDFStat(runMinutes(ds.CPUJobs()), curvePoints),
 	}
 }
 
@@ -93,9 +131,9 @@ func naiveWaits(ds *trace.Dataset) WaitResult {
 
 func naiveUtilization(ds *trace.Dataset) UtilizationResult {
 	jobs := ds.GPUJobs()
-	sm := trace.MeanValues(jobs, metrics.SMUtil)
-	mem := trace.MeanValues(jobs, metrics.MemUtil)
-	msz := trace.MeanValues(jobs, metrics.MemSize)
+	sm := meanValues(jobs, metrics.SMUtil)
+	mem := meanValues(jobs, metrics.MemUtil)
+	msz := meanValues(jobs, metrics.MemSize)
 	return UtilizationResult{
 		SM:             NewCDFStat(sm, curvePoints),
 		Mem:            NewCDFStat(mem, curvePoints),
@@ -109,14 +147,14 @@ func naiveUtilization(ds *trace.Dataset) UtilizationResult {
 
 func naivePCIe(ds *trace.Dataset) PCIeResult {
 	jobs := ds.GPUJobs()
-	tx := trace.MeanValues(jobs, metrics.PCIeTx)
-	rx := trace.MeanValues(jobs, metrics.PCIeRx)
-	txE, rxE := stats.NewECDF(tx), stats.NewECDF(rx)
+	tx := meanValues(jobs, metrics.PCIeTx)
+	rx := meanValues(jobs, metrics.PCIeRx)
+	txV, rxV := sortedView(tx), sortedView(rx)
 	return PCIeResult{
 		Tx:          NewCDFStat(tx, curvePoints),
 		Rx:          NewCDFStat(rx, curvePoints),
-		TxUniformKS: txE.UniformityDistance(txE.Min(), txE.Max()),
-		RxUniformKS: rxE.UniformityDistance(rxE.Min(), rxE.Max()),
+		TxUniformKS: txV.UniformityDistance(txV.Min(), txV.Max()),
+		RxUniformKS: rxV.UniformityDistance(rxV.Min(), rxV.Max()),
 	}
 }
 
@@ -129,8 +167,8 @@ func naiveByInterface(ds *trace.Dataset) InterfaceResult {
 		if total > 0 {
 			r.Share[iface] = float64(len(jobs)) / float64(total)
 		}
-		r.SM[iface] = NewCDFStat(trace.MeanValues(jobs, metrics.SMUtil), curvePoints)
-		r.Mem[iface] = NewCDFStat(trace.MeanValues(jobs, metrics.MemUtil), curvePoints)
+		r.SM[iface] = NewCDFStat(meanValues(jobs, metrics.SMUtil), curvePoints)
+		r.Mem[iface] = NewCDFStat(meanValues(jobs, metrics.MemUtil), curvePoints)
 	}
 	return r
 }
@@ -292,7 +330,7 @@ func naiveBottlenecks(ds *trace.Dataset) BottleneckResult {
 func naivePower(ds *trace.Dataset) PowerResult {
 	jobs := ds.GPUJobs()
 	return PowerResult{
-		Avg:      NewCDFStat(trace.MeanValues(jobs, metrics.Power), curvePoints),
+		Avg:      NewCDFStat(meanValues(jobs, metrics.Power), curvePoints),
 		Max:      NewCDFStat(trace.MaxValues(jobs, metrics.Power), curvePoints),
 		TDPWatts: 300,
 	}
@@ -403,16 +441,27 @@ func naiveMultiGPU(ds *trace.Dataset) MultiGPUResult {
 
 func naiveLifecycle(ds *trace.Dataset) LifecycleResult {
 	jobs := ds.GPUJobs()
-	b := lifecycle.Account(jobs)
-	groups := lifecycle.GroupByCategory(jobs)
-	var r LifecycleResult
-	r.Total = b.Total
+	var groups [trace.NumCategories][]*trace.JobRecord
+	var hours [trace.NumCategories]float64
+	var totalHours float64
+	for _, j := range jobs {
+		c := lifecycle.Classify(j)
+		groups[c] = append(groups[c], j)
+		h := j.GPUHours()
+		hours[c] += h
+		totalHours += h
+	}
+	r := LifecycleResult{Total: len(jobs)}
 	for c := trace.Category(0); c < trace.NumCategories; c++ {
-		r.JobShare[c] = b.JobShare(c)
-		r.HourShare[c] = b.HourShare(c)
-		r.MedianRunMin[c] = stats.Median(trace.RunMinutes(groups[c]))
+		if r.Total > 0 {
+			r.JobShare[c] = float64(len(groups[c])) / float64(r.Total)
+		}
+		if totalHours != 0 {
+			r.HourShare[c] = hours[c] / totalHours
+		}
+		r.MedianRunMin[c] = stats.Median(runMinutes(groups[c]))
 		for mi, m := range multiGPUMetrics {
-			r.Boxes[c][mi] = stats.Box(trace.MeanValues(groups[c], m))
+			r.Boxes[c][mi] = sortedView(meanValues(groups[c], m)).Box()
 		}
 	}
 	return r

@@ -212,11 +212,6 @@ func phasesAndActivity(c *trace.Columns) (PhaseResult, ActiveVariabilityResult) 
 	return pa.result(), aa.result()
 }
 
-// bottleneckThresholdPct: a job is bottlenecked on a metric when its
-// recorded maximum reaches the capacity (the paper's definition); 99 %
-// tolerates sampling discretization.
-const bottleneckThresholdPct = 99
-
 // BottleneckResult is Figs. 7b/8: per-resource and pairwise bottleneck
 // fractions over the full GPU-job population (max utilization is recorded
 // for every job, not only the detailed subset).
@@ -233,58 +228,32 @@ type BottleneckResult struct {
 	Jobs       int
 }
 
-// Bottlenecks computes Figs. 7b/8 over the columnar GPU population.
+// Bottlenecks computes Figs. 7b/8 from the per-job hit counters the
+// projection fills as jobs are added. Only metrics and pairs some job hit
+// get a map entry.
 func Bottlenecks(c *trace.Columns) BottleneckResult {
-	jobs := c.GPU
 	r := BottleneckResult{
 		SingleFrac: map[metrics.Metric]float64{},
 		PairFrac:   map[[2]metrics.Metric]float64{},
-		Jobs:       len(jobs),
+		Jobs:       len(c.GPU),
 	}
-	if len(jobs) == 0 {
+	if r.Jobs == 0 {
 		return r
 	}
-	hit := func(j *trace.JobRecord, m metrics.Metric) bool {
-		if len(j.PerGPU) > 0 {
-			for _, g := range j.PerGPU {
-				if g[m].Max >= bottleneckThresholdPct {
-					return true
-				}
-			}
-			return false
+	n := float64(r.Jobs)
+	b := &c.Bottlenecks
+	for m, hits := range b.Single {
+		if hits > 0 {
+			r.SingleFrac[metrics.Metric(m)] = float64(hits) / n
 		}
-		return j.GPU[m].Max >= bottleneckThresholdPct
 	}
-	var anyTwo float64
-	hits := make([]metrics.Metric, 0, len(metrics.BottleneckMetrics))
-	for _, j := range jobs {
-		hits = hits[:0]
-		for _, m := range metrics.BottleneckMetrics {
-			if hit(j, m) {
-				r.SingleFrac[m]++
-				hits = append(hits, m)
+	for lo := range b.Pair {
+		for hi, hits := range b.Pair[lo] {
+			if hits > 0 {
+				r.PairFrac[[2]metrics.Metric{metrics.Metric(lo), metrics.Metric(hi)}] = float64(hits) / n
 			}
 		}
-		for a := 0; a < len(hits); a++ {
-			for b := a + 1; b < len(hits); b++ {
-				key := [2]metrics.Metric{hits[a], hits[b]}
-				if key[0] > key[1] {
-					key[0], key[1] = key[1], key[0]
-				}
-				r.PairFrac[key]++
-			}
-		}
-		if len(hits) >= 2 {
-			anyTwo++
-		}
 	}
-	n := float64(len(jobs))
-	for m := range r.SingleFrac {
-		r.SingleFrac[m] /= n
-	}
-	for k := range r.PairFrac {
-		r.PairFrac[k] /= n
-	}
-	r.AnyTwoFrac = anyTwo / n
+	r.AnyTwoFrac = float64(b.AnyTwo) / n
 	return r
 }

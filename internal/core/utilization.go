@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/metrics"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -19,19 +18,20 @@ type UtilizationResult struct {
 }
 
 // Utilization computes Fig. 4a from the shared mean-utilization columns:
-// one cached sort per metric serves the CDF and all threshold fractions.
+// one order-statistics view per metric serves the CDF and all threshold
+// fractions without materializing a merged copy.
 func Utilization(c *trace.Columns) UtilizationResult {
-	sm := c.Mean[metrics.SMUtil].Sorted()
-	mem := c.Mean[metrics.MemUtil].Sorted()
-	msz := c.Mean[metrics.MemSize].Sorted()
+	sm := c.Mean[metrics.SMUtil].Stats()
+	mem := c.Mean[metrics.MemUtil].Stats()
+	msz := c.Mean[metrics.MemSize].Stats()
 	return UtilizationResult{
-		SM:             cdfFromECDF(stats.NewECDFSorted(sm)),
-		Mem:            cdfFromECDF(stats.NewECDFSorted(mem)),
-		MemSize:        cdfFromECDF(stats.NewECDFSorted(msz)),
-		SMOver50:       stats.FractionAboveSorted(sm, 50),
-		MemOver50:      stats.FractionAboveSorted(mem, 50),
-		SizeOver50:     stats.FractionAboveSorted(msz, 50),
-		NearZeroSMFrac: stats.FractionBelowSorted(sm, 5),
+		SM:             viewCDF(sm),
+		Mem:            viewCDF(mem),
+		MemSize:        viewCDF(msz),
+		SMOver50:       sm.FractionAbove(50),
+		MemOver50:      mem.FractionAbove(50),
+		SizeOver50:     msz.FractionAbove(50),
+		NearZeroSMFrac: sm.FractionBelow(5),
 	}
 }
 
@@ -43,16 +43,16 @@ type PCIeResult struct {
 	TxUniformKS, RxUniformKS float64
 }
 
-// PCIe computes Fig. 4b from the shared PCIe columns: one ECDF per
-// direction serves both the curve digest and the KS distance.
+// PCIe computes Fig. 4b from the shared PCIe columns: one order-statistics
+// view per direction serves both the curve digest and the KS distance.
 func PCIe(c *trace.Columns) PCIeResult {
-	txE := stats.NewECDFSorted(c.Mean[metrics.PCIeTx].Sorted())
-	rxE := stats.NewECDFSorted(c.Mean[metrics.PCIeRx].Sorted())
+	tx := c.Mean[metrics.PCIeTx].Stats()
+	rx := c.Mean[metrics.PCIeRx].Stats()
 	return PCIeResult{
-		Tx:          cdfFromECDF(txE),
-		Rx:          cdfFromECDF(rxE),
-		TxUniformKS: txE.UniformityDistance(txE.Min(), txE.Max()),
-		RxUniformKS: rxE.UniformityDistance(rxE.Min(), rxE.Max()),
+		Tx:          viewCDF(tx),
+		Rx:          viewCDF(rx),
+		TxUniformKS: tx.UniformityDistance(tx.Min(), tx.Max()),
+		RxUniformKS: rx.UniformityDistance(rx.Min(), rx.Max()),
 	}
 }
 
@@ -67,18 +67,17 @@ type InterfaceResult struct {
 	Mem [trace.NumInterfaces]CDFStat
 }
 
-// ByInterface computes Fig. 5 by gathering the mean-utilization columns
-// through the per-interface row index.
+// ByInterface computes Fig. 5 from the per-interface mean-utilization
+// columns.
 func ByInterface(c *trace.Columns) InterfaceResult {
 	var r InterfaceResult
 	total := len(c.GPU)
-	for iface := range c.ByIface {
-		idx := c.ByIface[iface]
+	for iface, cols := range c.IfaceMean {
 		if total > 0 {
-			r.Share[iface] = float64(len(idx)) / float64(total)
+			r.Share[iface] = float64(cols[0].N()) / float64(total)
 		}
-		r.SM[iface] = ownedCDF(trace.Gather(c.Mean[metrics.SMUtil], idx))
-		r.Mem[iface] = ownedCDF(trace.Gather(c.Mean[metrics.MemUtil], idx))
+		r.SM[iface] = colCDF(cols[0])
+		r.Mem[iface] = colCDF(cols[1])
 	}
 	return r
 }
@@ -176,67 +175,19 @@ type MultiGPUResult struct {
 	HalfIdleJobFrac float64
 }
 
-// multiGPUMetrics are the three Fig. 14 metrics.
-var multiGPUMetrics = [3]metrics.Metric{metrics.SMUtil, metrics.MemUtil, metrics.MemSize}
-
-// idleGPUMeanSM is the threshold below which a GPU counts as idle for the
-// whole job ("average utilization of close to zero for all resources").
-const idleGPUMeanSM = 1.0
-
-// MultiGPU computes Fig. 14 over the pre-filtered multi-GPU population,
-// reusing two scratch vectors across jobs instead of allocating per metric.
+// MultiGPU computes Fig. 14 from the per-job cross-GPU CoV columns and
+// idle-GPU counters the projection fills as multi-GPU jobs are added.
 func MultiGPU(c *trace.Columns) MultiGPUResult {
 	var r MultiGPUResult
-	jobs := c.Multi
-	var all, active [3][]float64
-	var withIdle, halfIdle, considered float64
-	var vals, act []float64
-	for _, j := range jobs {
-		if len(j.PerGPU) < 2 {
-			continue
-		}
-		considered++
-		idle := 0
-		for _, g := range j.PerGPU {
-			if g[metrics.SMUtil].Mean < idleGPUMeanSM && g[metrics.MemUtil].Mean < idleGPUMeanSM {
-				idle++
-			}
-		}
-		if idle > 0 {
-			withIdle++
-		}
-		if idle*2 >= len(j.PerGPU) {
-			halfIdle++
-		}
-		for mi, m := range multiGPUMetrics {
-			vals, act = vals[:0], act[:0]
-			for _, g := range j.PerGPU {
-				vals = append(vals, g[m].Mean)
-				if g[metrics.SMUtil].Mean >= idleGPUMeanSM || g[metrics.MemUtil].Mean >= idleGPUMeanSM {
-					act = append(act, g[m].Mean)
-				}
-			}
-			if cov := stats.CoV(vals); !isNaN(cov) {
-				all[mi] = append(all[mi], cov)
-			}
-			if len(act) >= 2 {
-				if cov := stats.CoV(act); !isNaN(cov) {
-					active[mi] = append(active[mi], cov)
-				}
-			} else if len(act) == 1 {
-				// One active GPU: no cross-GPU variability among active GPUs.
-				active[mi] = append(active[mi], 0)
-			}
-		}
+	m := &c.MultiGPU
+	for k := range r.CoVAllGPUs {
+		r.CoVAllGPUs[k] = colCDF(m.CoVAll[k])
+		r.CoVActiveGPUs[k] = colCDF(m.CoVActive[k])
 	}
-	for mi := range multiGPUMetrics {
-		r.CoVAllGPUs[mi] = ownedCDF(all[mi])
-		r.CoVActiveGPUs[mi] = ownedCDF(active[mi])
-	}
-	if considered > 0 {
-		r.IdleGPUJobFrac = withIdle / considered
-		r.HalfIdleJobFrac = halfIdle / considered
-	} else if len(jobs) > 0 {
+	if m.Considered > 0 {
+		r.IdleGPUJobFrac = float64(m.WithIdle) / float64(m.Considered)
+		r.HalfIdleJobFrac = float64(m.HalfIdle) / float64(m.Considered)
+	} else if len(c.Multi) > 0 {
 		// Multi-GPU jobs exist but carry no per-GPU digests (the CSV path
 		// flattens them): the idle-GPU question is unanswerable, not zero.
 		r.IdleGPUJobFrac = math.NaN()

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -45,13 +46,24 @@ func batchDS(base int64, n int) *trace.Dataset {
 			WaitSec:   float64(id%50) * 2.25,
 			RunSec:    60 + float64(id%700),
 			LimitSec:  3600,
+			Exit:      trace.ExitStatus(id % 4),
+			Interface: trace.Interface(id / 4 % 4),
 		}
 		if id%3 == 0 {
 			j.NumGPUs = 1 + int(id%4)
 			j.CoresPerGPU = 6
-			for m := range j.GPU {
-				j.GPU[m] = metrics.SummaryRecord{Min: 1, Mean: float64(10 + id%60), Max: 99}
+			for g := 0; g < j.NumGPUs; g++ {
+				// Per-GPU digests that differ (and sometimes idle), so the
+				// life-cycle, interface, cross-GPU and bottleneck columns
+				// all carry data.
+				var d metrics.MetricSummaries
+				mean := float64((id + int64(g)*23) % 60)
+				for m := range d {
+					d[m] = metrics.SummaryRecord{Min: 0, Mean: mean, Max: float64(70 + (id+int64(g)*7)%30)}
+				}
+				j.PerGPU = append(j.PerGPU, d)
 			}
+			j.FinalizeGPUSummary()
 		} else {
 			j.Cores = 4
 		}
@@ -79,6 +91,12 @@ func fingerprint(t *testing.T, st *trace.SegStore) string {
 		t.Fatal(err)
 	}
 	return fmt.Sprintf("%x", sha256.Sum256(b))
+}
+
+// figures renders every figure of a store's current snapshot, so that two
+// stores compare by what a /v1/figures query answers from their columns.
+func figures(st *trace.SegStore) string {
+	return fmt.Sprintf("%v", *core.CharacterizeSeg(st.Snapshot(), 2))
 }
 
 var testSegCfg = trace.SegConfig{DurationDays: 7, SegmentJobs: 64, MaxSegments: 4}
@@ -136,6 +154,9 @@ func TestStoreRecoveryAcrossRestarts(t *testing.T) {
 	}
 	if a, b := fingerprint(t, st.Seg()), fingerprint(t, ref); a != b {
 		t.Fatal("recovered store diverged from reference")
+	}
+	if a, b := figures(st.Seg()), figures(ref); a != b {
+		t.Fatal("recovered store's figures diverged from reference")
 	}
 
 	// Idempotency across restarts: a duplicate batch ID returns the

@@ -4,112 +4,22 @@
 // code; exploratory jobs are killed by their user mid-flight (abandoned
 // hyper-parameter settings); IDE jobs are interactive sessions that ride
 // their wall-clock limit into a timeout; development jobs crash, or time out
-// non-interactively while under debug.
+// non-interactively while under debug. The decision table itself lives in
+// trace (trace.CategoryOf), so the column projection can group jobs by
+// category as they are appended.
 package lifecycle
 
 import "repro/internal/trace"
 
-// classifyTable is the paper's §VI decision table, spelled out over every
-// (ExitStatus × Interface) pair so the mapping is auditable at a glance and
-// the exhaustiveness test can sweep it cell by cell. Only one cell depends on
-// the interface: a timeout in an interactive session is an IDE job riding its
-// wall-clock limit; every other timeout — and every crash, interactive or not
-// (the paper's development jobs fail under debug regardless of how they were
-// launched) — is Development.
-var classifyTable = [trace.NumExitStatuses][trace.NumInterfaces]trace.Category{
-	trace.ExitSuccess: {
-		trace.MapReduce:   trace.Mature,
-		trace.Batch:       trace.Mature,
-		trace.Interactive: trace.Mature,
-		trace.Other:       trace.Mature,
-	},
-	trace.ExitCancelled: {
-		trace.MapReduce:   trace.Exploratory,
-		trace.Batch:       trace.Exploratory,
-		trace.Interactive: trace.Exploratory,
-		trace.Other:       trace.Exploratory,
-	},
-	trace.ExitTimeout: {
-		trace.MapReduce:   trace.Development,
-		trace.Batch:       trace.Development,
-		trace.Interactive: trace.IDE,
-		trace.Other:       trace.Development,
-	},
-	trace.ExitFailed: {
-		trace.MapReduce:   trace.Development,
-		trace.Batch:       trace.Development,
-		trace.Interactive: trace.Development,
-		trace.Other:       trace.Development,
-	},
-}
-
 // Classify returns the life-cycle category of a job record. The mapping is
 // total: every (exit status, interface) combination has a category.
 func Classify(j *trace.JobRecord) trace.Category {
-	return ClassifyParts(j.Exit, j.Interface)
+	return trace.CategoryOf(j.Exit, j.Interface)
 }
 
 // ClassifyParts classifies from the two observables directly, so callers that
 // have no JobRecord in hand (the scheduler's online prediction layer works
-// from JobSpecs) share the exact decision table. Out-of-range statuses are
-// code in an unknown terminal state — still under debug, so Development; an
-// out-of-range interface is simply not an interactive session, preserving the
-// totality the original switch had.
+// from JobSpecs) share the exact decision table.
 func ClassifyParts(exit trace.ExitStatus, iface trace.Interface) trace.Category {
-	if exit < 0 || exit >= trace.NumExitStatuses {
-		return trace.Development
-	}
-	if iface < 0 || iface >= trace.NumInterfaces {
-		iface = trace.Other
-	}
-	return classifyTable[exit][iface]
-}
-
-// Breakdown is the per-category tally of a job population (Fig. 15).
-type Breakdown struct {
-	Jobs          [trace.NumCategories]int
-	GPUHours      [trace.NumCategories]float64
-	Total         int
-	TotalGPUHours float64
-}
-
-// Account classifies every job and accumulates counts and GPU hours.
-func Account(jobs []*trace.JobRecord) Breakdown {
-	var b Breakdown
-	for _, j := range jobs {
-		c := Classify(j)
-		b.Jobs[c]++
-		h := j.GPUHours()
-		b.GPUHours[c] += h
-		b.Total++
-		b.TotalGPUHours += h
-	}
-	return b
-}
-
-// JobShare returns category c's fraction of jobs, or 0 for an empty
-// population.
-func (b Breakdown) JobShare(c trace.Category) float64 {
-	if b.Total == 0 {
-		return 0
-	}
-	return float64(b.Jobs[c]) / float64(b.Total)
-}
-
-// HourShare returns category c's fraction of GPU hours.
-func (b Breakdown) HourShare(c trace.Category) float64 {
-	if b.TotalGPUHours == 0 {
-		return 0
-	}
-	return b.GPUHours[c] / b.TotalGPUHours
-}
-
-// GroupByCategory splits a job population by classified category.
-func GroupByCategory(jobs []*trace.JobRecord) [trace.NumCategories][]*trace.JobRecord {
-	var out [trace.NumCategories][]*trace.JobRecord
-	for _, j := range jobs {
-		c := Classify(j)
-		out[c] = append(out[c], j)
-	}
-	return out
+	return trace.CategoryOf(exit, iface)
 }

@@ -183,3 +183,53 @@ func TestAccountConservationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Breakdown is the per-category tally of a job population (Fig. 15), the
+// row-walking reference the projection's per-category counters replace.
+type Breakdown struct {
+	Jobs          [trace.NumCategories]int
+	GPUHours      [trace.NumCategories]float64
+	Total         int
+	TotalGPUHours float64
+}
+
+// Account classifies every job and accumulates counts and GPU hours.
+func Account(jobs []*trace.JobRecord) Breakdown {
+	var b Breakdown
+	for _, j := range jobs {
+		c := Classify(j)
+		b.Jobs[c]++
+		h := j.GPUHours()
+		b.GPUHours[c] += h
+		b.Total++
+		b.TotalGPUHours += h
+	}
+	return b
+}
+
+// JobShare returns category c's fraction of jobs, or 0 for an empty
+// population.
+func (b Breakdown) JobShare(c trace.Category) float64 {
+	if b.Total == 0 {
+		return 0
+	}
+	return float64(b.Jobs[c]) / float64(b.Total)
+}
+
+// HourShare returns category c's fraction of GPU hours.
+func (b Breakdown) HourShare(c trace.Category) float64 {
+	if b.TotalGPUHours == 0 {
+		return 0
+	}
+	return b.GPUHours[c] / b.TotalGPUHours
+}
+
+// GroupByCategory splits a job population by classified category.
+func GroupByCategory(jobs []*trace.JobRecord) [trace.NumCategories][]*trace.JobRecord {
+	var out [trace.NumCategories][]*trace.JobRecord
+	for _, j := range jobs {
+		c := Classify(j)
+		out[c] = append(out[c], j)
+	}
+	return out
+}

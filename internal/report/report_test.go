@@ -71,12 +71,12 @@ func TestBarChart(t *testing.T) {
 }
 
 func TestBoxPlot(t *testing.T) {
-	b := stats.Box([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	b := stats.NewRunsView([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9}).Box()
 	line := BoxPlot("sm", b, 0, 10, 30)
 	if !strings.Contains(line, "sm") || !strings.Contains(line, "|") || !strings.Contains(line, "=") {
 		t.Fatalf("box plot malformed: %s", line)
 	}
-	empty := BoxPlot("none", stats.Box(nil), 0, 10, 30)
+	empty := BoxPlot("none", stats.NewRunsView().Box(), 0, 10, 30)
 	if !strings.Contains(empty, "no data") {
 		t.Fatalf("empty box: %s", empty)
 	}

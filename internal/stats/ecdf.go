@@ -88,33 +88,3 @@ func (e *ECDF) Points(maxPoints int) []Point {
 	}
 	return pts
 }
-
-// UniformityDistance returns the KS statistic between this ECDF and the
-// continuous uniform distribution on [lo, hi]. A value near zero certifies
-// the "linearly increasing empirical CDF" the paper observes for PCIe
-// bandwidths in Fig. 4b.
-func (e *ECDF) UniformityDistance(lo, hi float64) float64 {
-	if e.N() == 0 || hi <= lo {
-		return math.NaN()
-	}
-	var d float64
-	for i, x := range e.sorted {
-		u := (x - lo) / (hi - lo)
-		if u < 0 {
-			u = 0
-		}
-		if u > 1 {
-			u = 1
-		}
-		// Compare against both step edges, per the one-sample KS definition.
-		fHi := float64(i+1) / float64(len(e.sorted))
-		fLo := float64(i) / float64(len(e.sorted))
-		if diff := math.Abs(fHi - u); diff > d {
-			d = diff
-		}
-		if diff := math.Abs(fLo - u); diff > d {
-			d = diff
-		}
-	}
-	return d
-}

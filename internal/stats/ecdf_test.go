@@ -160,3 +160,34 @@ func (e *ECDF) At(x float64) float64 {
 
 // Median returns the 0.5 quantile.
 func (e *ECDF) Median() float64 { return e.Quantile(0.5) }
+
+// UniformityDistance returns the KS statistic between this ECDF and the
+// continuous uniform distribution on [lo, hi]: the single-slice reference
+// RunsView.UniformityDistance must match bit for bit. A value near zero certifies
+// the "linearly increasing empirical CDF" the paper observes for PCIe
+// bandwidths in Fig. 4b.
+func (e *ECDF) UniformityDistance(lo, hi float64) float64 {
+	if e.N() == 0 || hi <= lo {
+		return math.NaN()
+	}
+	var d float64
+	for i, x := range e.sorted {
+		u := (x - lo) / (hi - lo)
+		if u < 0 {
+			u = 0
+		}
+		if u > 1 {
+			u = 1
+		}
+		// Compare against both step edges, per the one-sample KS definition.
+		fHi := float64(i+1) / float64(len(e.sorted))
+		fLo := float64(i) / float64(len(e.sorted))
+		if diff := math.Abs(fHi - u); diff > d {
+			d = diff
+		}
+		if diff := math.Abs(fLo - u); diff > d {
+			d = diff
+		}
+	}
+	return d
+}

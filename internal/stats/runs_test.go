@@ -90,6 +90,51 @@ func TestRunsViewMatchesMerged(t *testing.T) {
 	}
 }
 
+// TestRunsViewBoxAndKSMatchMerged extends the equivalence to the two walks
+// RunsView adds over the merged order: Box (quartiles, whiskers and every
+// outlier, in order) must equal BoxStatsSorted, and UniformityDistance must
+// equal ECDF.UniformityDistance, bit for bit, over random run
+// decompositions with heavy ties and long tails on both sides.
+func TestRunsViewBoxAndKSMatchMerged(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 300; trial++ {
+		runs := make([][]float64, rng.Intn(4)+1)
+		for i := range runs {
+			r := make([]float64, rng.Intn(60))
+			for j := range r {
+				r[j] = float64(rng.Intn(20)) / 2
+				if rng.Intn(8) == 0 { // tails beyond the Tukey fences
+					r[j] = (rng.Float64() - 0.5) * 400
+				}
+			}
+			sort.Float64s(r)
+			runs[i] = r
+		}
+		ref := mergedRef(runs)
+		v := NewRunsView(runs...)
+
+		got, want := v.Box(), BoxStatsSorted(ref)
+		if got.N != want.N || !bitsEq(got.Median, want.Median) || !bitsEq(got.Q1, want.Q1) ||
+			!bitsEq(got.Q3, want.Q3) || !bitsEq(got.WhiskerLow, want.WhiskerLow) ||
+			!bitsEq(got.WhiskerHigh, want.WhiskerHigh) || len(got.Outliers) != len(want.Outliers) ||
+			(got.Outliers == nil) != (want.Outliers == nil) {
+			t.Fatalf("trial %d: Box = %+v, want %+v", trial, got, want)
+		}
+		for i := range want.Outliers {
+			if !bitsEq(got.Outliers[i], want.Outliers[i]) {
+				t.Fatalf("trial %d: Outliers[%d] = %v, want %v", trial, i, got.Outliers[i], want.Outliers[i])
+			}
+		}
+
+		e := NewECDFSorted(ref)
+		for _, b := range [][2]float64{{e.Min(), e.Max()}, {0, 10}, {-50, 50}, {3, 3}} {
+			if got, want := v.UniformityDistance(b[0], b[1]), e.UniformityDistance(b[0], b[1]); !bitsEq(got, want) {
+				t.Fatalf("trial %d: UniformityDistance(%v, %v) = %v, want %v", trial, b[0], b[1], got, want)
+			}
+		}
+	}
+}
+
 // TestRunsViewRankBounds pins the panic contract on out-of-range ranks.
 func TestRunsViewRankBounds(t *testing.T) {
 	v := NewRunsView([]float64{1, 2}, []float64{3})

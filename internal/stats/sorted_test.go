@@ -277,3 +277,14 @@ func TestSortedFastPathEquivalence(t *testing.T) {
 		t.Error("Fraction*Sorted(nil) should be NaN")
 	}
 }
+
+// FractionBelowSorted is FractionBelow on data already sorted ascending and
+// NaN-free: the single-slice reference RunsView.FractionBelow must match bit
+// for bit.
+func FractionBelowSorted(sorted []float64, threshold float64) float64 {
+	if len(sorted) == 0 {
+		return math.NaN()
+	}
+	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= threshold })
+	return float64(i) / float64(len(sorted))
+}

@@ -135,54 +135,6 @@ type BoxStats struct {
 	Outliers                []float64
 }
 
-// Box computes box-plot statistics of xs. It sorts a copy; use
-// BoxStatsSorted when a shared sorted view of the data already exists.
-func Box(xs []float64) BoxStats {
-	if len(xs) == 0 {
-		return BoxStatsSorted(nil)
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return BoxStatsSorted(s)
-}
-
-// BoxStatsSorted computes box-plot statistics of data that is already sorted
-// ascending and NaN-free, without copying. The returned Outliers slice (if
-// any) is freshly allocated; the input is never retained.
-func BoxStatsSorted(s []float64) BoxStats {
-	b := BoxStats{N: len(s)}
-	if len(s) == 0 {
-		nan := math.NaN()
-		b.Median, b.Q1, b.Q3, b.WhiskerLow, b.WhiskerHigh = nan, nan, nan, nan, nan
-		return b
-	}
-	b.Q1 = quantileSorted(s, 0.25)
-	b.Median = quantileSorted(s, 0.50)
-	b.Q3 = quantileSorted(s, 0.75)
-	iqr := b.Q3 - b.Q1
-	loFence := b.Q1 - 1.5*iqr
-	hiFence := b.Q3 + 1.5*iqr
-	b.WhiskerLow, b.WhiskerHigh = math.NaN(), math.NaN()
-	for _, v := range s {
-		if v >= loFence {
-			b.WhiskerLow = v
-			break
-		}
-	}
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] <= hiFence {
-			b.WhiskerHigh = s[i]
-			break
-		}
-	}
-	for _, v := range s {
-		if v < loFence || v > hiFence {
-			b.Outliers = append(b.Outliers, v)
-		}
-	}
-	return b
-}
-
 // FractionAbove returns the fraction of xs strictly greater than threshold,
 // used for statements like "only 20 % of the jobs have more than 50 % SM
 // utilization" (paper §III).
@@ -222,14 +174,4 @@ func FractionAboveSorted(sorted []float64, threshold float64) float64 {
 	}
 	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] > threshold })
 	return float64(len(sorted)-i) / float64(len(sorted))
-}
-
-// FractionBelowSorted is FractionBelow on data already sorted ascending and
-// NaN-free.
-func FractionBelowSorted(sorted []float64, threshold float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= threshold })
-	return float64(i) / float64(len(sorted))
 }

@@ -274,3 +274,52 @@ func Sum(xs []float64) float64 {
 	}
 	return s
 }
+
+// Box computes box-plot statistics of xs by sorting a copy: the reference
+// TestBoxStats pins.
+func Box(xs []float64) BoxStats {
+	if len(xs) == 0 {
+		return BoxStatsSorted(nil)
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return BoxStatsSorted(s)
+}
+
+// BoxStatsSorted computes box-plot statistics of data that is already sorted
+// ascending and NaN-free, without copying: the single-slice reference
+// RunsView.Box must match bit for bit. The returned Outliers slice (if
+// any) is freshly allocated; the input is never retained.
+func BoxStatsSorted(s []float64) BoxStats {
+	b := BoxStats{N: len(s)}
+	if len(s) == 0 {
+		nan := math.NaN()
+		b.Median, b.Q1, b.Q3, b.WhiskerLow, b.WhiskerHigh = nan, nan, nan, nan, nan
+		return b
+	}
+	b.Q1 = quantileSorted(s, 0.25)
+	b.Median = quantileSorted(s, 0.50)
+	b.Q3 = quantileSorted(s, 0.75)
+	iqr := b.Q3 - b.Q1
+	loFence := b.Q1 - 1.5*iqr
+	hiFence := b.Q3 + 1.5*iqr
+	b.WhiskerLow, b.WhiskerHigh = math.NaN(), math.NaN()
+	for _, v := range s {
+		if v >= loFence {
+			b.WhiskerLow = v
+			break
+		}
+	}
+	for i := len(s) - 1; i >= 0; i-- {
+		if s[i] <= hiFence {
+			b.WhiskerHigh = s[i]
+			break
+		}
+	}
+	for _, v := range s {
+		if v < loFence || v > hiFence {
+			b.Outliers = append(b.Outliers, v)
+		}
+	}
+	return b
+}

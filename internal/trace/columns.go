@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -130,10 +131,16 @@ const NumSizeClasses = 4
 // Columns is the columnar projection of a Dataset, built in ONE pass over
 // the jobs: the filtered analysis populations, typed float64/int vectors for
 // every per-job quantity the characterization suite consumes, and grouping
-// indexes by user and submission interface. All vectors follow dataset
-// (submission-log) order, so sequential accumulations over them reproduce
-// the row-walking analyses bit for bit; sorted views are materialized
-// lazily per column and shared by every analysis that needs one.
+// indexes by user. All vectors follow dataset (submission-log) order, so
+// sequential accumulations over them reproduce the row-walking analyses bit
+// for bit; sorted views are materialized lazily per column and shared by
+// every analysis that needs one.
+//
+// The grouped columns — ByCategory (Figs. 15–16), IfaceMean (Fig. 5),
+// MultiGPU (Fig. 14) and Bottlenecks (Figs. 7b/8) — hold the per-group and
+// per-job values those figures sort or count, projected once as each job is
+// added. A query therefore reads their cached sorted runs and counters
+// instead of gathering, recomputing and re-sorting the population.
 type Columns struct {
 	// GPU is the analysis population (GPU jobs running at least
 	// MinGPUJobRunSec); the columns below are aligned with it.
@@ -151,8 +158,20 @@ type Columns struct {
 	// WaitBySize[c] is the wait-seconds column of §V size class c.
 	WaitBySize [NumSizeClasses]*FloatColumn
 
-	// Multi is the subset of GPU with two or more GPUs.
-	Multi []*JobRecord
+	// ByCategory[k] holds the GPU jobs of §VI life-cycle category k; the
+	// four categories partition the population.
+	ByCategory [NumCategories]CategoryColumns
+	// IfaceMean[i][k] is the job-level mean of SM (k = 0) and memory
+	// bandwidth (k = 1) utilization over interface i's GPU jobs.
+	IfaceMean [NumInterfaces][numIfaceMetrics]*FloatColumn
+
+	// Multi is the subset of GPU with two or more GPUs; MultiGPU holds
+	// their cross-GPU statistics.
+	Multi    []*JobRecord
+	MultiGPU MultiGPUColumns
+
+	// Bottlenecks counts the GPU jobs that hit capacity on each metric.
+	Bottlenecks BottleneckCounts
 
 	// CPU jobs and their columns.
 	CPU        []*JobRecord
@@ -162,11 +181,9 @@ type Columns struct {
 	CPUHostCPU *FloatColumn
 
 	// Users lists distinct users of the GPU population, ascending; ByUser
-	// maps each to the indices of its jobs in GPU (dataset order), and
-	// ByIface groups the same indices by submission interface.
-	Users   []int
-	ByUser  map[int][]int32
-	ByIface [NumInterfaces][]int32
+	// maps each to the indices of its jobs in GPU (dataset order).
+	Users  []int
+	ByUser map[int][]int32
 
 	// SeriesIDs is the sorted key set of the detailed-monitoring subset, a
 	// deterministic iteration order over Dataset.Series.
@@ -180,20 +197,69 @@ type Columns struct {
 	series map[int64]*TimeSeries
 }
 
+// groupMetrics are the utilization metrics the grouped columns project:
+// SM, memory bandwidth and memory size (Figs. 14 and 16). Fig. 5 groups
+// the first numIfaceMetrics of them by interface.
+var groupMetrics = [3]metrics.Metric{metrics.SMUtil, metrics.MemUtil, metrics.MemSize}
+
+const numIfaceMetrics = 2
+
+// CategoryColumns is one §VI life-cycle category's slice of the GPU
+// population; its job count is RunMin.N().
+type CategoryColumns struct {
+	RunMin *FloatColumn
+	// Mean[k] is the job-level mean of SM (k = 0), memory-bandwidth (1) and
+	// memory-size (2) utilization.
+	Mean [len(groupMetrics)]*FloatColumn
+	// GPUHours is the category's GPU-hour sum, accumulated in dataset
+	// order as TotalGPUHours is.
+	GPUHours float64
+}
+
+// MultiGPUColumns holds Fig. 14's per-job statistics over the multi-GPU
+// jobs that carry per-GPU digests.
+type MultiGPUColumns struct {
+	// CoVAll[k] and CoVActive[k] hold each job's CoV (%) of metric k's mean
+	// across all its GPUs and across its active GPUs (0 for a job with one
+	// active GPU); jobs whose CoV is undefined are left out.
+	CoVAll, CoVActive [len(groupMetrics)]*FloatColumn
+	// Considered counts the jobs with two or more per-GPU digests;
+	// WithIdle and HalfIdle those with at least one, and at least half,
+	// of their GPUs idle.
+	Considered, WithIdle, HalfIdle int
+}
+
+// idleGPUMeanPct is the mean SM and memory-bandwidth utilization below
+// which a GPU counts as idle for the whole job ("average utilization of
+// close to zero for all resources").
+const idleGPUMeanPct = 1.0
+
+// BottleneckCounts are Figs. 7b/8's per-job hit counts over the GPU
+// population. A job hits metric m when a GPU's recorded maximum of m
+// reaches bottleneckThresholdPct.
+type BottleneckCounts struct {
+	// Single[m] counts the jobs that hit m; Pair[a][b] (a < b) those that
+	// hit both a and b; AnyTwo those that hit two or more metrics.
+	Single [metrics.NumMetrics]int
+	Pair   [metrics.NumMetrics][metrics.NumMetrics]int
+	AnyTwo int
+}
+
+// bottleneckThresholdPct: a job is bottlenecked on a metric when its
+// recorded maximum reaches the capacity (the paper's definition); 99 %
+// tolerates sampling discretization.
+const bottleneckThresholdPct = 99
+
 // BuildColumns projects d into columns in a single pass over d.Jobs (plus
-// one sort per grouping key set). Prefer Dataset.Columns, which memoizes.
-// The result aliases d.Jobs and d.Series.
+// a counting pass that presizes the arrays, and one sort per grouping key
+// set). Prefer Dataset.Columns, which memoizes. The result aliases d.Jobs
+// and d.Series.
 func BuildColumns(d *Dataset) *Columns {
-	nGPU, nCPU := 0, 0
+	var n projSizes
 	for i := range d.Jobs {
-		switch j := &d.Jobs[i]; {
-		case !j.IsGPU():
-			nCPU++
-		case j.RunSec >= MinGPUJobRunSec:
-			nGPU++
-		}
+		n.count(&d.Jobs[i])
 	}
-	p := newProjection(nGPU, nCPU)
+	p := newProjection(n)
 	for i := range d.Jobs {
 		p.add(&d.Jobs[i])
 	}
@@ -202,7 +268,7 @@ func BuildColumns(d *Dataset) *Columns {
 	})
 }
 
-// Ids of projection's float arrays, one per FloatColumn field of Columns.
+// Ids of projection's float arrays, one per FloatColumn of Columns.
 const (
 	sfRunMin = iota
 	sfWaitSec
@@ -216,12 +282,64 @@ const (
 	sfWaitSize0 // + size class; NumSizeClasses columns
 )
 
-// sfMean0/sfMax0 are the bases of the per-metric mean/max column blocks.
+// Bases of the per-metric and grouped column blocks.
 const (
 	sfMean0      = sfWaitSize0 + NumSizeClasses
 	sfMax0       = sfMean0 + int(metrics.NumMetrics)
-	numFloatCols = sfMax0 + int(metrics.NumMetrics)
+	sfCatRun0    = sfMax0 + int(metrics.NumMetrics)                  // + category
+	sfCatMean0   = sfCatRun0 + int(NumCategories)                    // + category*len(groupMetrics) + k
+	sfIface0     = sfCatMean0 + int(NumCategories)*len(groupMetrics) // + interface*numIfaceMetrics + k
+	sfCoVAll0    = sfIface0 + int(NumInterfaces)*numIfaceMetrics     // + k
+	sfCoVActive0 = sfCoVAll0 + len(groupMetrics)                     // + k
+	numFloatCols = sfCoVActive0 + len(groupMetrics)
 )
+
+// projSizes are the array lengths a projection reaches over a known job
+// sequence, counted in one pass so BuildColumns allocates each array once.
+type projSizes struct {
+	gpu, cpu int
+	cat      [NumCategories]int
+	iface    [NumInterfaces]int
+	// multi counts the multi-GPU jobs with per-GPU digests, an upper bound
+	// on each CoV array's length.
+	multi int
+}
+
+// count adds one record to the sizes, with projection.add's filters.
+func (n *projSizes) count(j *JobRecord) {
+	switch {
+	case !j.IsGPU():
+		n.cpu++
+	case j.RunSec >= MinGPUJobRunSec:
+		n.gpu++
+		n.cat[CategoryOf(j.Exit, j.Interface)]++
+		if j.Interface >= 0 && j.Interface < NumInterfaces {
+			n.iface[j.Interface]++
+		}
+		if j.NumGPUs >= 2 && len(j.PerGPU) >= 2 {
+			n.multi++
+		}
+	}
+}
+
+// capacity returns the presized capacity of float array id.
+func (n *projSizes) capacity(id int) int {
+	switch {
+	case id >= sfCPURunMin && id <= sfCPUHostCPU:
+		return n.cpu
+	case id >= sfWaitSize0 && id < sfMean0:
+		return 0 // the size classes split the GPU population; they grow on demand
+	case id >= sfCatRun0 && id < sfCatMean0:
+		return n.cat[id-sfCatRun0]
+	case id >= sfCatMean0 && id < sfIface0:
+		return n.cat[(id-sfCatMean0)/len(groupMetrics)]
+	case id >= sfIface0 && id < sfCoVAll0:
+		return n.iface[(id-sfIface0)/numIfaceMetrics]
+	case id >= sfCoVAll0:
+		return n.multi
+	}
+	return n.gpu
+}
 
 // projection is the one row-to-column mapping behind both BuildColumns and
 // SegStore: append-only arrays holding every per-job value Columns exposes,
@@ -236,29 +354,27 @@ type projection struct {
 	multi   []*JobRecord
 	cpu     []*JobRecord
 	byUser  map[int][]int32
-	byIface [NumInterfaces][]int32
-	// totalGPUHours accumulates in append order, the float sequence every
-	// figure's sequential scan folds.
+	// totalGPUHours and catGPUHours accumulate in append order, the float
+	// sequence every figure's sequential scan folds.
 	totalGPUHours float64
+	catGPUHours   [NumCategories]float64
+	multiGPU      MultiGPUColumns // counters only; the CoV arrays live in f
+	bottlenecks   BottleneckCounts
+	// covVals and covAct are scratch for one job's per-GPU values.
+	covVals, covAct []float64
 }
 
-// newProjection presizes the population arrays for nGPU analysis-population
-// GPU jobs and nCPU CPU jobs.
-func newProjection(nGPU, nCPU int) *projection {
+// newProjection presizes the arrays to the lengths n counted.
+func newProjection(n projSizes) *projection {
 	p := &projection{
-		numGPUs: make([]int, 0, nGPU),
-		gpu:     make([]*JobRecord, 0, nGPU),
-		cpu:     make([]*JobRecord, 0, nCPU),
+		numGPUs: make([]int, 0, n.gpu),
+		gpu:     make([]*JobRecord, 0, n.gpu),
+		cpu:     make([]*JobRecord, 0, n.cpu),
 		byUser:  make(map[int][]int32),
 	}
 	for id := range p.f {
-		switch {
-		case id >= sfCPURunMin && id <= sfCPUHostCPU:
-			p.f[id] = make([]float64, 0, nCPU)
-		case id >= sfWaitSize0 && id < sfMean0:
-			// The size classes split the GPU population; they grow on demand.
-		default:
-			p.f[id] = make([]float64, 0, nGPU)
+		if c := n.capacity(id); c > 0 {
+			p.f[id] = make([]float64, 0, c)
 		}
 	}
 	return p
@@ -295,14 +411,115 @@ func (p *projection) add(jp *JobRecord) bool {
 	}
 	size := sfWaitSize0 + SizeClass(jp.NumGPUs)
 	p.f[size] = append(p.f[size], jp.WaitSec)
+
+	cat := int(CategoryOf(jp.Exit, jp.Interface))
+	p.catGPUHours[cat] += h
+	p.f[sfCatRun0+cat] = append(p.f[sfCatRun0+cat], jp.RunSec/60)
+	for k, m := range groupMetrics {
+		id := sfCatMean0 + cat*len(groupMetrics) + k
+		p.f[id] = append(p.f[id], jp.GPU[m].Mean)
+	}
+	if jp.Interface >= 0 && jp.Interface < NumInterfaces {
+		for k, m := range groupMetrics[:numIfaceMetrics] {
+			id := sfIface0 + int(jp.Interface)*numIfaceMetrics + k
+			p.f[id] = append(p.f[id], jp.GPU[m].Mean)
+		}
+	}
 	if jp.NumGPUs >= 2 {
 		p.multi = append(p.multi, jp)
+		p.addMultiGPU(jp)
 	}
+	p.addBottlenecks(jp)
 	p.byUser[jp.User] = append(p.byUser[jp.User], idx)
-	if jp.Interface >= 0 && jp.Interface < NumInterfaces {
-		p.byIface[jp.Interface] = append(p.byIface[jp.Interface], idx)
-	}
 	return true
+}
+
+// addMultiGPU folds one multi-GPU job's idle-GPU counts and cross-GPU CoVs
+// into the Fig. 14 columns. Jobs without per-GPU digests (the CSV path
+// flattens them) carry no cross-GPU information and are skipped.
+func (p *projection) addMultiGPU(jp *JobRecord) {
+	if len(jp.PerGPU) < 2 {
+		return
+	}
+	mg := &p.multiGPU
+	mg.Considered++
+	idle := 0
+	for i := range jp.PerGPU {
+		if g := &jp.PerGPU[i]; g[metrics.SMUtil].Mean < idleGPUMeanPct && g[metrics.MemUtil].Mean < idleGPUMeanPct {
+			idle++
+		}
+	}
+	if idle > 0 {
+		mg.WithIdle++
+	}
+	if idle*2 >= len(jp.PerGPU) {
+		mg.HalfIdle++
+	}
+	for k, m := range groupMetrics {
+		vals, act := p.covVals[:0], p.covAct[:0]
+		for i := range jp.PerGPU {
+			g := &jp.PerGPU[i]
+			vals = append(vals, g[m].Mean)
+			if g[metrics.SMUtil].Mean >= idleGPUMeanPct || g[metrics.MemUtil].Mean >= idleGPUMeanPct {
+				act = append(act, g[m].Mean)
+			}
+		}
+		p.covVals, p.covAct = vals, act
+		if cov := stats.CoV(vals); !math.IsNaN(cov) {
+			p.f[sfCoVAll0+k] = append(p.f[sfCoVAll0+k], cov)
+		}
+		if len(act) >= 2 {
+			if cov := stats.CoV(act); !math.IsNaN(cov) {
+				p.f[sfCoVActive0+k] = append(p.f[sfCoVActive0+k], cov)
+			}
+		} else if len(act) == 1 {
+			// One active GPU: no cross-GPU variability among active GPUs.
+			p.f[sfCoVActive0+k] = append(p.f[sfCoVActive0+k], 0)
+		}
+	}
+}
+
+// addBottlenecks counts which of metrics.BottleneckMetrics the job hit:
+// a GPU's recorded maximum at capacity, read from the averaged digest when
+// the per-GPU digests are absent.
+func (p *projection) addBottlenecks(jp *JobRecord) {
+	var hit uint // bit m set: metric m hit capacity
+	if len(jp.PerGPU) == 0 {
+		hit = capacityHits(&jp.GPU)
+	}
+	for i := range jp.PerGPU {
+		hit |= capacityHits(&jp.PerGPU[i])
+	}
+	if hit == 0 {
+		return
+	}
+	b := &p.bottlenecks
+	for lo := range b.Single {
+		if hit&(1<<lo) == 0 {
+			continue
+		}
+		b.Single[lo]++
+		for hi := lo + 1; hi < len(b.Single); hi++ {
+			if hit&(1<<hi) != 0 {
+				b.Pair[lo][hi]++
+			}
+		}
+	}
+	if bits.OnesCount(hit) >= 2 {
+		b.AnyTwo++
+	}
+}
+
+// capacityHits returns the set of metrics.BottleneckMetrics whose recorded
+// maximum in d reaches capacity, as a bit mask indexed by metric.
+func capacityHits(d *metrics.MetricSummaries) uint {
+	var hit uint
+	for _, m := range metrics.BottleneckMetrics {
+		if d[m].Max >= bottleneckThresholdPct {
+			hit |= 1 << m
+		}
+	}
+	return hit
 }
 
 // columns assembles a Columns over everything added so far from
@@ -323,6 +540,8 @@ func (p *projection) columns(durationDays float64, series map[int64]*TimeSeries,
 		HostCPU:       view(sfHostCPU),
 		NumGPUs:       p.numGPUs[:len(p.numGPUs):len(p.numGPUs)],
 		Multi:         p.multi[:len(p.multi):len(p.multi)],
+		MultiGPU:      p.multiGPU,
+		Bottlenecks:   p.bottlenecks,
 		CPU:           p.cpu[:len(p.cpu):len(p.cpu)],
 		CPURunMin:     view(sfCPURunMin),
 		CPUWaitSec:    view(sfCPUWaitSec),
@@ -342,14 +561,28 @@ func (p *projection) columns(durationDays float64, series map[int64]*TimeSeries,
 	for s := range c.WaitBySize {
 		c.WaitBySize[s] = view(sfWaitSize0 + s)
 	}
+	for cat := range c.ByCategory {
+		g := &c.ByCategory[cat]
+		g.RunMin = view(sfCatRun0 + cat)
+		for k := range g.Mean {
+			g.Mean[k] = view(sfCatMean0 + cat*len(groupMetrics) + k)
+		}
+		g.GPUHours = p.catGPUHours[cat]
+	}
+	for i := range c.IfaceMean {
+		for k := range c.IfaceMean[i] {
+			c.IfaceMean[i][k] = view(sfIface0 + i*numIfaceMetrics + k)
+		}
+	}
+	for k := range groupMetrics {
+		c.MultiGPU.CoVAll[k] = view(sfCoVAll0 + k)
+		c.MultiGPU.CoVActive[k] = view(sfCoVActive0 + k)
+	}
 	for u, idx := range p.byUser {
 		c.Users = append(c.Users, u)
 		c.ByUser[u] = idx[:len(idx):len(idx)]
 	}
 	sort.Ints(c.Users)
-	for i, idx := range p.byIface {
-		c.ByIface[i] = idx[:len(idx):len(idx)]
-	}
 	return c
 }
 
@@ -366,17 +599,6 @@ func sortedSeriesKeys(m map[int64]*TimeSeries) []int64 {
 // Series returns the detailed time series of a job, or nil. Iterate
 // SeriesIDs for a deterministic order over the monitoring subset.
 func (c *Columns) Series(id int64) *TimeSeries { return c.series[id] }
-
-// Gather returns the values of col at the given row indices, in index
-// order — the per-group projection used by the user and interface analyses.
-func Gather(col *FloatColumn, idx []int32) []float64 {
-	out := make([]float64, len(idx))
-	vals := col.Values()
-	for i, k := range idx {
-		out[i] = vals[k]
-	}
-	return out
-}
 
 // sortDropNaN returns a fresh ascending copy of vals with NaNs dropped (the
 // FloatColumn.Sorted contract).
@@ -411,7 +633,7 @@ func mergeSortedRuns(runs [][]float64) []float64 {
 	for len(live) > 1 {
 		next := live[:0]
 		for i := 0; i+1 < len(live); i += 2 {
-			next = append(next, mergeTwo(live[i], live[i+1]))
+			next = append(next, stats.MergeSorted(make([]float64, 0, len(live[i])+len(live[i+1])), live[i], live[i+1]))
 		}
 		if len(live)%2 == 1 {
 			next = append(next, live[len(live)-1])
@@ -419,22 +641,4 @@ func mergeSortedRuns(runs [][]float64) []float64 {
 		live = next
 	}
 	return live[0]
-}
-
-// mergeTwo merges two ascending runs into a fresh slice.
-func mergeTwo(a, b []float64) []float64 {
-	out := make([]float64, 0, len(a)+len(b))
-	i, k := 0, 0
-	for i < len(a) && k < len(b) {
-		if a[i] <= b[k] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[k])
-			k++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[k:]...)
-	return out
 }

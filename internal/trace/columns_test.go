@@ -9,9 +9,10 @@ import (
 )
 
 // columnsFixture builds a small mixed dataset exercising every grouping:
-// filtered short jobs, multi-GPU jobs, several users and interfaces, CPU
-// jobs, and an attached series. Waits differ across size classes and CPU
-// jobs so a value routed to the wrong column shows.
+// filtered short jobs, multi-GPU jobs, several users, interfaces and
+// life-cycle categories, CPU jobs, and an attached series. Waits differ
+// across size classes and CPU jobs so a value routed to the wrong column
+// shows.
 func columnsFixture() *Dataset {
 	d := NewDataset(125)
 	j1 := gpuJob(1, 0, 3600, 1)
@@ -21,9 +22,11 @@ func columnsFixture() *Dataset {
 	j3 := gpuJob(3, 1, 600, 4)
 	j3.Interface = Interactive
 	j3.WaitSec = 200
+	j3.Exit = ExitTimeout // an IDE session
 	d.Add(j3)
 	j4 := gpuJob(4, 1, 1800, 2)
 	j4.WaitSec = 40
+	j4.Exit = ExitCancelled
 	d.Add(j4)
 	d.Add(cpuJob(5, 2, 480))
 	j6 := cpuJob(6, 0, 120)
@@ -77,14 +80,14 @@ func TestColumnsMatchRowScans(t *testing.T) {
 		}
 	}
 
-	wantRun := RunMinutes(wantGPU)
+	wantRun := runMinutes(wantGPU)
 	for i, v := range c.RunMin.Values() {
 		if v != wantRun[i] {
 			t.Fatalf("RunMin[%d] = %v, want %v", i, v, wantRun[i])
 		}
 	}
 	for m := metrics.Metric(0); m < metrics.NumMetrics; m++ {
-		wantMean, wantMax := MeanValues(wantGPU, m), MaxValues(wantGPU, m)
+		wantMean, wantMax := meanValues(wantGPU, m), MaxValues(wantGPU, m)
 		for i := range wantGPU {
 			if c.Mean[m].Values()[i] != wantMean[i] || c.Max[m].Values()[i] != wantMax[i] {
 				t.Fatalf("metric %v column mismatch at %d", m, i)
@@ -122,15 +125,36 @@ func TestColumnsMatchRowScans(t *testing.T) {
 			}
 		}
 	}
-	for iface, jobs := range d.ByInterface() {
-		idx := c.ByIface[iface]
-		if len(idx) != len(jobs) {
-			t.Fatalf("ByIface[%v] size %d, want %d", iface, len(idx), len(jobs))
-		}
-		for k, j := range jobs {
-			if c.GPU[idx[k]] != j {
-				t.Fatalf("ByIface[%v][%d] wrong record", iface, k)
+	// Grouped columns: each interface's and life-cycle category's columns
+	// hold its jobs' values in dataset order, and each category's GPU
+	// hours fold in that order.
+	byIface := d.ByInterface()
+	for iface := Interface(0); iface < NumInterfaces; iface++ {
+		for k, m := range groupMetrics[:numIfaceMetrics] {
+			if got, want := c.IfaceMean[iface][k].Values(), meanValues(byIface[iface], m); !sameFloats(got, want) {
+				t.Fatalf("IfaceMean[%v][%d] = %v, want %v", iface, k, got, want)
 			}
+		}
+	}
+	var catJobs [NumCategories][]*JobRecord
+	var catHours [NumCategories]float64
+	for _, j := range wantGPU {
+		k := CategoryOf(j.Exit, j.Interface)
+		catJobs[k] = append(catJobs[k], j)
+		catHours[k] += j.GPUHours()
+	}
+	for k := range c.ByCategory {
+		g := &c.ByCategory[k]
+		if got, want := g.RunMin.Values(), runMinutes(catJobs[k]); !sameFloats(got, want) {
+			t.Fatalf("ByCategory[%d].RunMin = %v, want %v", k, got, want)
+		}
+		for i, m := range groupMetrics {
+			if got, want := g.Mean[i].Values(), meanValues(catJobs[k], m); !sameFloats(got, want) {
+				t.Fatalf("ByCategory[%d].Mean[%d] = %v, want %v", k, i, got, want)
+			}
+		}
+		if g.GPUHours != catHours[k] {
+			t.Fatalf("ByCategory[%d].GPUHours = %v, want %v", k, g.GPUHours, catHours[k])
 		}
 	}
 
@@ -164,6 +188,19 @@ func TestColumnsMatchRowScans(t *testing.T) {
 			t.Fatalf("Series(%d) mismatch", id)
 		}
 	}
+}
+
+// sameFloats reports whether a and b hold the same values in order.
+func sameFloats(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // TestFloatColumnSorted checks the lazily cached sorted view: ascending,

@@ -170,30 +170,11 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
-// MeanValues extracts one metric's per-job mean across jobs, the input shape
-// of every utilization CDF.
-func MeanValues(jobs []*JobRecord, m metrics.Metric) []float64 {
-	out := make([]float64, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.GPU[m].Mean
-	}
-	return out
-}
-
 // MaxValues extracts one metric's per-job max across jobs.
 func MaxValues(jobs []*JobRecord, m metrics.Metric) []float64 {
 	out := make([]float64, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.GPU[m].Max
-	}
-	return out
-}
-
-// RunMinutes extracts run times in minutes.
-func RunMinutes(jobs []*JobRecord) []float64 {
-	out := make([]float64, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.RunSec / 60
 	}
 	return out
 }

@@ -113,6 +113,54 @@ func (c Category) String() string {
 	}
 }
 
+// categoryTable is the paper's §VI decision table, spelled out over every
+// (ExitStatus × Interface) pair so the mapping is auditable at a glance and
+// the exhaustiveness test can sweep it cell by cell. Only one cell depends on
+// the interface: a timeout in an interactive session is an IDE job riding its
+// wall-clock limit; every other timeout — and every crash, interactive or not
+// (the paper's development jobs fail under debug regardless of how they were
+// launched) — is Development.
+var categoryTable = [NumExitStatuses][NumInterfaces]Category{
+	ExitSuccess: {
+		MapReduce:   Mature,
+		Batch:       Mature,
+		Interactive: Mature,
+		Other:       Mature,
+	},
+	ExitCancelled: {
+		MapReduce:   Exploratory,
+		Batch:       Exploratory,
+		Interactive: Exploratory,
+		Other:       Exploratory,
+	},
+	ExitTimeout: {
+		MapReduce:   Development,
+		Batch:       Development,
+		Interactive: IDE,
+		Other:       Development,
+	},
+	ExitFailed: {
+		MapReduce:   Development,
+		Batch:       Development,
+		Interactive: Development,
+		Other:       Development,
+	},
+}
+
+// CategoryOf is the §VI life-cycle classifier over the two observables it
+// reads. The mapping is total: an out-of-range status is code in an unknown
+// terminal state — still under debug, so Development — and an out-of-range
+// interface is simply not an interactive session.
+func CategoryOf(exit ExitStatus, iface Interface) Category {
+	if exit < 0 || exit >= NumExitStatuses {
+		return Development
+	}
+	if iface < 0 || iface >= NumInterfaces {
+		iface = Other
+	}
+	return categoryTable[exit][iface]
+}
+
 // JobRecord is one row of the joined dataset. Durations are stored as
 // float64 seconds because that is what every downstream estimator consumes.
 type JobRecord struct {

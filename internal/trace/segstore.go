@@ -29,8 +29,9 @@ import (
 //     sort of the small tail, and merging ascending runs of a multiset
 //     yields the same ascending array as sorting the whole — without
 //     re-sorting sealed data ever again;
-//   - order-independent structures (per-user/interface indexes) are built
-//     incrementally exactly as BuildColumns builds them.
+//   - order-independent structures (the per-user index, the grouped
+//     columns' counters) are built incrementally exactly as BuildColumns
+//     builds them.
 //
 // Sealing freezes the tail: its sorted run folds into the sealed-prefix
 // merge cascade (sealedMerge), and a segment records only its job bounds
@@ -185,7 +186,7 @@ func NewSegStore(cfg SegConfig) *SegStore {
 	}
 	return &SegStore{
 		cfg:    cfg,
-		proj:   newProjection(0, 0),
+		proj:   newProjection(projSizes{}),
 		series: make(map[int64]*TimeSeries),
 		staged: make(map[int64]stagedTelemetry),
 	}
@@ -336,7 +337,9 @@ func (st *SegStore) sealSegmentLocked(agg SegSummary) {
 	st.tailJob = st.nJobs
 	st.tailAgg = SegSummary{}
 	// Fold the new segment's run into the sealed-prefix merge (one two-way
-	// merge on first use) rather than re-merging every segment.
+	// merge on first use) rather than re-merging every segment. The merge is
+	// the column's single run, so once it exists the column holds neither
+	// input: each level keeps one sorted copy of the prefix, not two.
 	for c := range st.proj.f {
 		prev, vals := st.sealedMerge[c], st.proj.f[c]
 		end := len(vals)
@@ -345,7 +348,7 @@ func (st *SegStore) sealSegmentLocked(agg SegSummary) {
 			st.sealedMerge[c] = run
 		} else {
 			st.sealedMerge[c] = newMergeSortedColumn(vals[:end:end], func() [][]float64 {
-				return [][]float64{prev.Sorted(), run.Sorted()}
+				return [][]float64{mergeSortedRuns([][]float64{prev.Sorted(), run.Sorted()})}
 			})
 		}
 	}

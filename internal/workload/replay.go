@@ -12,18 +12,12 @@ import (
 // ReplaySpecs reconstructs schedulable job specs from a recorded dataset, so
 // a trace written by tracegen (or, with a converter, a real Slurm/nvidia-smi
 // export) can be replayed through the discrete-event scheduler under
-// different policies. Scheduler-side fields copy over exactly; utilization
-// profiles are re-synthesized from each GPU's min/mean/max digest — the only
-// information production monitoring keeps — so replayed phase structure is
-// approximate while per-job means are preserved.
-//
-// A GPU job recorded with run_sec 0 (it ended as it started, as real
-// exports contain) keeps RunSec 0, so the scheduler starts and ends it at
-// the same instant; its profile is synthesized over replayZeroRunSec
-// instead, since a profile needs a positive span and a zero-length run
-// reads only the profile's first instant.
-func ReplaySpecs(ds *trace.Dataset, seed uint64) []JobSpec {
-	rng := dist.New(seed ^ 0x5EED5EED5EED5EED)
+// different policies. It fills the scheduler-side fields only, one spec per
+// record in dataset order: pass the specs through the cluster's capacity
+// gate (slurm.Feasible) and then ReplayProfiles, so that a record the
+// cluster rejects — say one asking for 20,000 GPUs — never has its
+// utilization profiles synthesized.
+func ReplaySpecs(ds *trace.Dataset) []JobSpec {
 	specs := make([]JobSpec, 0, len(ds.Jobs))
 	for i := range ds.Jobs {
 		j := &ds.Jobs[i]
@@ -48,56 +42,72 @@ func ReplaySpecs(ds *trace.Dataset, seed uint64) []JobSpec {
 			sp.LimitSec = sp.RunSec
 		}
 		if j.IsGPU() {
-			sp.Category = classifyForReplay(j)
+			sp.Category = trace.CategoryOf(j.Exit, j.Interface)
 			if sp.CoresPerGPU == 0 {
 				sp.CoresPerGPU = 4
 			}
-			if j.NumGPUs > 0 {
-				sp.MemGBPerGPU = j.MemGB / float64(j.NumGPUs)
-			}
+			sp.MemGBPerGPU = j.MemGB / float64(j.NumGPUs)
 			if sp.MemGBPerGPU <= 0 {
 				sp.MemGBPerGPU = 16
-			}
-			digests := j.PerGPU
-			if len(digests) != j.NumGPUs {
-				// Only the averaged digest survived (CSV path): give every
-				// GPU the same reconstructed profile.
-				digests = make([]metrics.MetricSummaries, j.NumGPUs)
-				for g := range digests {
-					digests[g] = j.GPU
-				}
-			}
-			for _, d := range digests {
-				sp.Profiles = append(sp.Profiles, ProfileFromSummary(d, j.RunSec, rng))
 			}
 		}
 		specs = append(specs, sp)
 	}
-	sort.Slice(specs, func(a, b int) bool { return specs[a].SubmitSec < specs[b].SubmitSec })
 	return specs
 }
 
-// replayZeroRunSec is the profile span ReplaySpecs gives a GPU job that
+// ReplayProfiles completes specs, a subsequence of ReplaySpecs(ds) in
+// dataset order (typically the jobs slurm.Feasible admitted): it gives
+// every GPU spec one utilization profile per GPU, re-synthesized from the
+// record's per-GPU min/mean/max digests — the only information production
+// monitoring keeps — so replayed phase structure is approximate while
+// per-job means are preserved. It then sorts specs by submit time.
+// Profiles draw from one stream seeded by seed, in dataset order, so a
+// replay that admits every job is independent of the gate. Records must
+// have distinct job IDs, as Dataset.Validate and every trace reader
+// ensure.
+//
+// A GPU job recorded with run_sec 0 (it ended as it started, as real
+// exports contain) keeps RunSec 0, so the scheduler starts and ends it at
+// the same instant; its profile is synthesized over replayZeroRunSec
+// instead, since a profile needs a positive span and a zero-length run
+// reads only the profile's first instant.
+func ReplayProfiles(ds *trace.Dataset, specs []JobSpec, seed uint64) {
+	rng := dist.New(seed ^ 0x5EED5EED5EED5EED)
+	next := 0
+	for i := range ds.Jobs {
+		if next == len(specs) {
+			break
+		}
+		j := &ds.Jobs[i]
+		if specs[next].ID != j.JobID {
+			continue
+		}
+		sp := &specs[next]
+		next++
+		if !j.IsGPU() {
+			continue
+		}
+		digests := j.PerGPU
+		if len(digests) != j.NumGPUs {
+			// Only the averaged digest survived (CSV path): give every
+			// GPU the same reconstructed profile.
+			digests = make([]metrics.MetricSummaries, j.NumGPUs)
+			for g := range digests {
+				digests[g] = j.GPU
+			}
+		}
+		sp.Profiles = make([]*Profile, 0, len(digests))
+		for _, d := range digests {
+			sp.Profiles = append(sp.Profiles, ProfileFromSummary(d, j.RunSec, rng))
+		}
+	}
+	sort.Slice(specs, func(a, b int) bool { return specs[a].SubmitSec < specs[b].SubmitSec })
+}
+
+// replayZeroRunSec is the profile span ReplayProfiles gives a GPU job that
 // ran for 0 s.
 const replayZeroRunSec = 1
-
-// classifyForReplay mirrors lifecycle.Classify without importing it (that
-// package sits above workload in the dependency order).
-func classifyForReplay(j *trace.JobRecord) trace.Category {
-	switch j.Exit {
-	case trace.ExitSuccess:
-		return trace.Mature
-	case trace.ExitCancelled:
-		return trace.Exploratory
-	case trace.ExitTimeout:
-		if j.Interface == trace.Interactive {
-			return trace.IDE
-		}
-		return trace.Development
-	default:
-		return trace.Development
-	}
-}
 
 // ProfileFromSummary synthesizes a phase-structured profile whose
 // duration-weighted means reproduce a recorded min/mean/max digest. The

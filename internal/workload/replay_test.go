@@ -11,9 +11,16 @@ import (
 	"repro/internal/trace"
 )
 
+// replayAll replays every record of ds, with no capacity gate.
+func replayAll(ds *trace.Dataset, seed uint64) []JobSpec {
+	specs := ReplaySpecs(ds)
+	ReplayProfiles(ds, specs, seed)
+	return specs
+}
+
 func TestReplayRoundTripSchedulerFields(t *testing.T) {
 	_, specs, ds := calibDataset(t)
-	replayed := ReplaySpecs(ds, 99)
+	replayed := replayAll(ds, 99)
 	if len(replayed) != len(specs) {
 		t.Fatalf("replayed %d of %d jobs", len(replayed), len(specs))
 	}
@@ -43,7 +50,7 @@ func TestReplayRoundTripSchedulerFields(t *testing.T) {
 
 func TestReplayPreservesUtilizationMeans(t *testing.T) {
 	_, _, ds := calibDataset(t)
-	replayed := ReplaySpecs(ds, 99)
+	replayed := replayAll(ds, 99)
 	spec := gpu.V100()
 	pm := gpu.DefaultPowerModel()
 	byID := map[int64]*trace.JobRecord{}
@@ -118,7 +125,7 @@ func TestReplayFromCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed := ReplaySpecs(back, 1)
+	replayed := replayAll(back, 1)
 	if len(replayed) != len(ds.Jobs) {
 		t.Fatalf("replayed %d of %d", len(replayed), len(ds.Jobs))
 	}
