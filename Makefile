@@ -57,14 +57,16 @@ race:
 chaos:
 	SIMCLOUDD_CHAOS_KILLS=50 $(GO) test -count=1 -run TestChaosKillRecovery -v -timeout 30m ./cmd/simcloudd
 
-# Short fuzz session over every trace codec target, the whole replay
+# Short fuzz session over every trace codec target (FuzzReadJSONMatchesSpec
+# holds the hand-written JSON reader to its encoding/json spec), the whole replay
 # pipeline (decode → replay → simulate → characterize → render), plus the
 # calendar event queue cross-checked against the heap spec (PR 6) and the P²
 # quantile estimator's invariants under arbitrary small/tied samples (PR 7).
 fuzz:
 	$(GO) test . -fuzz FuzzPipeline -fuzztime 30s
 	$(GO) test ./internal/trace -fuzz FuzzReadCSV -fuzztime 30s
-	$(GO) test ./internal/trace -fuzz FuzzReadJSON -fuzztime 30s
+	$(GO) test ./internal/trace -fuzz 'FuzzReadJSON$$' -fuzztime 30s
+	$(GO) test ./internal/trace -fuzz FuzzReadJSONMatchesSpec -fuzztime 30s
 	$(GO) test ./internal/trace -fuzz FuzzDatasetRoundTrip -fuzztime 30s
 	$(GO) test ./internal/slurm -fuzz FuzzCalQueue -fuzztime 30s
 	$(GO) test ./internal/predict -fuzz FuzzP2Quantile -fuzztime 30s
@@ -92,11 +94,13 @@ perfbench:
 
 # Allocation-count guards (PR 6, part of `make check`): the calendar queue's
 # steady-state zero-allocation property, the end-to-end per-job allocation
-# budget of Simulate, and BuildColumns' pinned allocation count (it runs once
-# per simulation replication). Skipped automatically under -race.
+# budget of Simulate, BuildColumns' pinned allocation count (it runs once
+# per simulation replication), and ReadJSON's per 1000-job ingest body (it
+# runs once per ingest batch and per replayed WAL batch). Skipped
+# automatically under -race.
 alloc-guard:
 	$(GO) test ./internal/slurm -count=1 		-run 'TestCalQueueSteadyStateAllocFree|TestHeapSpecBoxesPerEvent|TestSimulatePerJobAllocBudget'
-	$(GO) test ./internal/trace -count=1 -run 'TestBuildColumnsAllocBudget'
+	$(GO) test ./internal/trace -count=1 -run 'TestBuildColumnsAllocBudget|TestReadJSONAllocBudget'
 
 # Figure/experiment benchmarks: one `go test -bench` per paper table and
 # figure metric, plus the scheduler, streaming and durability benchmarks

@@ -14,6 +14,7 @@ package repro
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/durable"
@@ -139,6 +140,27 @@ func BenchmarkDurableRecover(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(b.N*len(ds.Jobs)), "µs/job")
 		})
 	}
+}
+
+// BenchmarkReadJSON decodes one 1000-job ingest body: the decode every
+// IngestBatch runs before its commit lock, and WAL replay runs per batch.
+func BenchmarkReadJSON(b *testing.B) {
+	body := durableBatches(b, charDataset(b, 10_000), streamBatch)[0]
+	b.SetBytes(int64(len(body)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := trace.ReadJSON(bytes.NewReader(body)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	jobs := float64(b.N * streamBatch)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/jobs, "ns/job")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/jobs, "B/job")
 }

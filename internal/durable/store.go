@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -145,7 +144,7 @@ func (s *Store) applyRecord(rec Record) error {
 		if err != nil {
 			return err
 		}
-		ds, err := trace.ReadJSON(bytes.NewReader(body))
+		ds, err := trace.DecodeJSON(body)
 		if err != nil {
 			return fmt.Errorf("durable: acked batch no longer decodes: %w", err)
 		}
@@ -206,7 +205,7 @@ func decodeBatchPayload(p []byte) (string, []byte, error) {
 func (s *Store) IngestBatch(id string, body []byte) (out Outcome, dup bool, err error) {
 	// Decoding is most of a batch's CPU and touches no store state, so it
 	// runs before the commit lock.
-	ds, decErr := trace.ReadJSON(bytes.NewReader(body))
+	ds, decErr := trace.DecodeJSON(body)
 	// Deferred before the unlock below, so it runs after mu is released.
 	checkpointDue := false
 	defer func() {

@@ -59,3 +59,37 @@ func TestGzipRejectsGarbage(t *testing.T) {
 		t.Fatal("empty accepted")
 	}
 }
+
+// TestGzipJSONRejectsCorruptTrailer: a gzip stream's CRC-32 and length are
+// in its 8-byte trailer, after the last byte of the dataset, and gzip only
+// checks them at EOF. ReadJSONGZ must read that far, so flipping a byte of
+// either one fails the decode, as it fails ReadCSVGZ.
+func TestGzipJSONRejectsCorruptTrailer(t *testing.T) {
+	d := NewDataset(125)
+	for i := int64(1); i <= 20; i++ {
+		d.Add(gpuJob(i, int(i)%5, float64(i)*60, 1+int(i)%3))
+	}
+	var jsonGZ, csvGZ bytes.Buffer
+	if err := d.WriteJSONGZ(&jsonGZ); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteCSVGZ(&csvGZ); err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []struct {
+		name string
+		back int // offset of the flipped byte from the end of the stream
+	}{{"crc32", 8}, {"isize", 4}} {
+		flip := func(b []byte) []byte {
+			b = bytes.Clone(b)
+			b[len(b)-field.back] ^= 0xff
+			return b
+		}
+		if _, err := ReadJSONGZ(bytes.NewReader(flip(jsonGZ.Bytes()))); err == nil {
+			t.Errorf("ReadJSONGZ accepted a stream with a corrupt %s", field.name)
+		}
+		if _, err := ReadCSVGZ(bytes.NewReader(flip(csvGZ.Bytes())), 125); err == nil {
+			t.Errorf("ReadCSVGZ accepted a stream with a corrupt %s", field.name)
+		}
+	}
+}

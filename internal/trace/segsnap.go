@@ -153,5 +153,7 @@ func RestoreSegStore(cfg SegConfig, s *SegStoreState) (*SegStore, error) {
 	}
 	st.gen++
 	st.snap = nil
+	// The store is not shared yet, so its runs sort under the lock.
+	sortRuns(st.takeUnsortedLocked())
 	return st, nil
 }

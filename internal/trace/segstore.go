@@ -33,10 +33,11 @@ import (
 //     columns' counters) are built incrementally exactly as BuildColumns
 //     builds them.
 //
-// Sealing freezes the tail: its sorted run folds into the sealed-prefix
-// merge cascade (sealedMerge), and a segment records only its job bounds
-// and a mergeable SegSummary digest. The digests answer live summary
-// queries in O(segments); they merge in segment-index order, so they are
+// Sealing freezes the tail: the appender that sealed it sorts its run off
+// the lock, the next snapshot folds it into the sealed-prefix merge cascade
+// (sealedMerge), and a segment records only its job bounds and a mergeable
+// SegSummary digest. The digests answer live summary queries in
+// O(segments); they merge in segment-index order, so they are
 // deterministic for a given seal/compaction schedule but — unlike the
 // figures — not invariant across schedules (float merge order differs).
 
@@ -142,13 +143,21 @@ type SegStore struct {
 	tailJob int        // guarded by mu
 	tailAgg SegSummary // guarded by mu
 
-	// sealedMerge[c] is the sealed prefix of column c, proj.f[c][:N()], as
-	// a lazily sorted view (nil before the first seal): each seal wraps the
-	// previous one and the new segment's run in a two-way merge, done on
-	// first use. Compaction reshapes the segments but not the multiset, so
-	// the cascade survives it. Queries therefore pay one tail sort plus a
-	// single two-way merge per column, however many segments are sealed.
-	sealedMerge [numFloatCols]*FloatColumn // guarded by mu
+	// sealedMerge[c] is a prefix of column c, proj.f[c][:N()], as a lazily
+	// sorted view (nil before the first seal), and sealedRuns[c] the runs
+	// of the segments sealed after it, through proj.f[c][:sealedEnd[c]].
+	// A seal only adds its run; the next Snapshot folds the waiting runs
+	// into a new sealedMerge that merges them with each other and then
+	// with the old prefix once, on first use. Compaction reshapes the
+	// segments but not the multiset, so the cascade survives it. Queries
+	// therefore pay one tail sort plus one pass over the prefix per
+	// column, however many segments were sealed since the last query.
+	sealedMerge [numFloatCols]*FloatColumn   // guarded by mu
+	sealedRuns  [numFloatCols][]*FloatColumn // guarded by mu
+	sealedEnd   [numFloatCols]int            // guarded by mu
+	// unsorted holds the runs sealed since an appender last took them to
+	// sort (sortRuns).
+	unsorted []*FloatColumn // guarded by mu
 
 	gen  uint64   // guarded by mu
 	snap *SegView // guarded by mu
@@ -194,11 +203,35 @@ func NewSegStore(cfg SegConfig) *SegStore {
 
 // AppendBatch adds records in order, sealing as thresholds are crossed.
 func (st *SegStore) AppendBatch(jobs []JobRecord) {
+	sortRuns(st.appendBatch(jobs))
+}
+
+func (st *SegStore) appendBatch(jobs []JobRecord) []*FloatColumn {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for i := range jobs {
 		st.appendLocked(jobs[i])
 		st.maybeSealLocked()
+	}
+	return st.takeUnsortedLocked()
+}
+
+// takeUnsortedLocked hands the runs sealed since the last call to an
+// appender, to sort once it has released mu.
+func (st *SegStore) takeUnsortedLocked() []*FloatColumn {
+	runs := st.unsorted
+	st.unsorted = nil
+	return runs
+}
+
+// sortRuns sorts newly sealed runs. Each appender sorts what its batch
+// sealed, after releasing the store lock: ingest pays for sorting its own
+// data, off the lock, rather than the next query paying for sorting
+// everything sealed since the query before it — which would make a query's
+// cost grow with the ingest rate.
+func sortRuns(runs []*FloatColumn) {
+	for _, r := range runs {
+		r.Sorted()
 	}
 }
 
@@ -229,10 +262,16 @@ func (e *CapacityError) Error() string {
 // is a single critical section — the check cannot race another batch's
 // append (the -max-jobs TOCTOU simcloudd shipped with).
 func (st *SegStore) AppendDatasetMax(ds *Dataset, maxJobs int) error {
+	sealed, err := st.appendDataset(ds, maxJobs)
+	sortRuns(sealed)
+	return err
+}
+
+func (st *SegStore) appendDataset(ds *Dataset, maxJobs int) ([]*FloatColumn, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if maxJobs > 0 && st.nJobs+len(ds.Jobs) > maxJobs {
-		return &CapacityError{Stored: st.nJobs, Batch: len(ds.Jobs), Max: maxJobs}
+		return nil, &CapacityError{Stored: st.nJobs, Batch: len(ds.Jobs), Max: maxJobs}
 	}
 	for i := range ds.Jobs {
 		st.appendLocked(ds.Jobs[i])
@@ -243,7 +282,7 @@ func (st *SegStore) AppendDatasetMax(ds *Dataset, maxJobs int) error {
 	}
 	st.gen++
 	st.snap = nil
-	return nil
+	return st.takeUnsortedLocked(), nil
 }
 
 // StageTelemetry parks monitoring-epilog output (per-GPU digests and the
@@ -313,8 +352,10 @@ func (st *SegStore) maybeSealLocked() {
 // reused by every later snapshot instead of being re-sorted.
 func (st *SegStore) SealTail() {
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	st.sealLocked()
+	sealed := st.takeUnsortedLocked()
+	st.mu.Unlock()
+	sortRuns(sealed)
 }
 
 func (st *SegStore) sealLocked() {
@@ -336,21 +377,47 @@ func (st *SegStore) sealSegmentLocked(agg SegSummary) {
 	st.sealed = append(st.sealed, &segment{startJob: st.tailJob, endJob: st.nJobs, agg: agg})
 	st.tailJob = st.nJobs
 	st.tailAgg = SegSummary{}
-	// Fold the new segment's run into the sealed-prefix merge (one two-way
-	// merge on first use) rather than re-merging every segment. The merge is
-	// the column's single run, so once it exists the column holds neither
-	// input: each level keeps one sorted copy of the prefix, not two.
-	for c := range st.proj.f {
-		prev, vals := st.sealedMerge[c], st.proj.f[c]
+	for c, vals := range st.proj.f {
 		end := len(vals)
-		run := NewFloatColumn(vals[prev.N():end:end])
-		if prev == nil {
-			st.sealedMerge[c] = run
-		} else {
-			st.sealedMerge[c] = newMergeSortedColumn(vals[:end:end], func() [][]float64 {
-				return [][]float64{mergeSortedRuns([][]float64{prev.Sorted(), run.Sorted()})}
+		run := NewFloatColumn(vals[st.sealedEnd[c]:end:end])
+		st.sealedRuns[c] = append(st.sealedRuns[c], run)
+		st.unsorted = append(st.unsorted, run)
+		st.sealedEnd[c] = end
+	}
+}
+
+// foldSealedRunsLocked folds each column's waiting sealed runs into its
+// sealed-prefix merge. The new merge sorts and merges the runs among
+// themselves, then merges the result with the old prefix: one pass over
+// the prefix however many runs wait, where folding each seal's run in
+// turn would pass over it once per run. On ties the prefix comes first,
+// then the runs in seal order, so the merged array is the one run-by-run
+// merging would give. The merge is the column's single run, so once it
+// exists the column holds neither input: each level keeps one sorted copy
+// of the prefix, not two.
+func (st *SegStore) foldSealedRunsLocked() {
+	for c, runs := range st.sealedRuns {
+		prev := st.sealedMerge[c]
+		switch {
+		case len(runs) == 0:
+			continue
+		case prev == nil && len(runs) == 1:
+			st.sealedMerge[c] = runs[0]
+		default:
+			end := st.sealedEnd[c]
+			st.sealedMerge[c] = newMergeSortedColumn(st.proj.f[c][:end:end], func() [][]float64 {
+				sorted := make([][]float64, len(runs))
+				for i, r := range runs {
+					sorted[i] = r.Sorted()
+				}
+				merged := mergeSortedRuns(sorted)
+				if prev != nil {
+					merged = mergeSortedRuns([][]float64{prev.Sorted(), merged})
+				}
+				return [][]float64{merged}
 			})
 		}
+		st.sealedRuns[c] = nil
 	}
 }
 
@@ -439,6 +506,7 @@ func (st *SegStore) Snapshot() *SegView {
 	if st.snap != nil {
 		return st.snap
 	}
+	st.foldSealedRunsLocked()
 	c := st.proj.columns(st.cfg.DurationDays, maps.Clone(st.series), func(id int, vals []float64) *FloatColumn {
 		sealed := st.sealedMerge[id]
 		if sealed == nil {
