@@ -101,6 +101,7 @@ perfbench:
 alloc-guard:
 	$(GO) test ./internal/slurm -count=1 		-run 'TestCalQueueSteadyStateAllocFree|TestHeapSpecBoxesPerEvent|TestSimulatePerJobAllocBudget'
 	$(GO) test ./internal/trace -count=1 -run 'TestBuildColumnsAllocBudget|TestReadJSONAllocBudget'
+	$(GO) test ./internal/core -count=1 -run 'TestFoldFiguresAllocsIndependentOfJobs'
 
 # Figure/experiment benchmarks: one `go test -bench` per paper table and
 # figure metric, plus the scheduler, streaming and durability benchmarks

@@ -24,6 +24,9 @@
 // -max-segments (sealed segments past the bound are pairwise compacted);
 // overload is shed with 429 + Retry-After once the unsealed backlog passes
 // -backlog-max, and request bodies are capped at -max-body-bytes (413).
+// Figure queries are bounded too: at most GOMAXPROCS / -workers of them
+// (at least one) compute at once, and the rest are shed with 429 +
+// Retry-After.
 //
 // Usage:
 //
@@ -41,7 +44,8 @@
 //	                    series), staged for the §II job-ID join
 //	GET  /v1/stats      store geometry: jobs, segments, tail, staged, WAL
 //	GET  /v1/summary    merged per-segment digest (counts, moments) as JSON
-//	GET  /v1/figures    full figure suite over a snapshot (text tables)
+//	GET  /v1/figures    full figure suite over a snapshot (text tables);
+//	                    429 while the query cap is computing
 //	POST /v1/seal       seal the tail now (admin, WAL-logged)
 //	POST /v1/compact    pairwise-compact sealed segments now (admin, WAL-logged)
 //	POST /v1/snapshot   checkpoint now (admin)
@@ -65,6 +69,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -101,7 +106,7 @@ func run(args []string) error {
 		backlogMax  = fs.Int("backlog-max", 500_000, "shed ingest (429) while unsealed backlog exceeds N (0 = never)")
 		maxBody     = fs.Int64("max-body-bytes", 64<<20, "reject request bodies larger than N bytes (413)")
 		days        = fs.Float64("days", 125, "observation window for figure normalization")
-		workers     = fs.Int("workers", 0, "worker goroutines for figure queries (0 = GOMAXPROCS)")
+		workers     = fs.Int("workers", 0, "worker goroutines per figure query (0 = GOMAXPROCS); GOMAXPROCS/N queries compute at once")
 		grace       = fs.Duration("shutdown-grace", 10*time.Second, "drain deadline after SIGTERM")
 		chaosSpec   = fs.String("chaos", "", "failure-injection spec (testing only; see internal/durable)")
 	)
@@ -202,13 +207,33 @@ type server struct {
 	store    *durable.Store
 	cfg      serverConfig
 	draining atomic.Bool
+	// figureSlots holds one token per figure query computing.
+	figureSlots chan struct{}
+	// characterize computes a figure query; tests hold it to fill the cap.
+	characterize func(v *trace.SegView, workers int) *core.Report
 }
 
 func newServer(store *durable.Store, cfg serverConfig) *server {
 	if cfg.maxBody <= 0 {
 		cfg.maxBody = 64 << 20
 	}
-	return &server{store: store, cfg: cfg}
+	return &server{
+		store:        store,
+		cfg:          cfg,
+		figureSlots:  make(chan struct{}, figureCap(cfg.workers, runtime.GOMAXPROCS(0))),
+		characterize: core.CharacterizeSeg,
+	}
+}
+
+// figureCap is the number of figure queries computed at once: procs /
+// workers, at least one, so the queries' worker goroutines together stay
+// at about GOMAXPROCS (procs). A query runs on workers goroutines, and
+// on procs of them when workers is 0.
+func figureCap(workers, procs int) int {
+	if workers <= 0 {
+		workers = procs
+	}
+	return max(1, procs/workers)
 }
 
 func (s *server) mux() *http.ServeMux {
@@ -422,10 +447,21 @@ func (s *server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
+// handleFigures answers the figure suite over the current snapshot. At
+// most cap(figureSlots) queries compute at once; past that a query is shed
+// with 429 + Retry-After, as ingest is past -backlog-max.
 func (s *server) handleFigures(w http.ResponseWriter, r *http.Request) {
+	select {
+	case s.figureSlots <- struct{}{}:
+	default:
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, fmt.Sprintf("%d figure queries already computing", cap(s.figureSlots)), http.StatusTooManyRequests)
+		return
+	}
+	defer func() { <-s.figureSlots }()
 	start := time.Now() //lint:allow nowallclock server-side query latency, not simulation time
 	v := s.store.Seg().Snapshot()
-	rep := core.CharacterizeSeg(v, s.cfg.workers)
+	rep := s.characterize(v, s.cfg.workers)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	queryMS := float64(time.Since(start).Microseconds()) / 1000 //lint:allow nowallclock server-side query latency, not simulation time
 	// The timing line is deliberately separate from the snapshot line: the

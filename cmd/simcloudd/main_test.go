@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -582,4 +583,139 @@ func getJSONErr(url string, v any) error {
 		return fmt.Errorf("%s: %s", url, resp.Status)
 	}
 	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// postBatch ingests jobs [lo,hi) of ds and returns the response status.
+func postBatch(t *testing.T, base string, ds *trace.Dataset, lo, hi int) int {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/ingest", "application/json", encodeBatch(t, ds, lo, hi))
+	if err != nil {
+		t.Error(err)
+		return 0
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// getFigures sends a figures GET and returns the response with its body
+// read.
+func getFigures(url string) (*http.Response, string, error) {
+	resp, err := http.Get(url + "/v1/figures")
+	if err != nil {
+		return nil, "", err
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return nil, "", err
+	}
+	return resp, buf.String(), nil
+}
+
+// TestFigureCap pins the figure query cap: the queries' worker goroutines
+// together stay at about GOMAXPROCS, and at least one query computes.
+func TestFigureCap(t *testing.T) {
+	for _, c := range []struct{ workers, procs, want int }{
+		{0, 8, 1}, {1, 8, 8}, {2, 8, 4}, {3, 8, 2}, {16, 8, 1}, {0, 1, 1}, {1, 1, 1},
+	} {
+		if got := figureCap(c.workers, c.procs); got != c.want {
+			t.Errorf("figureCap(%d, %d) = %d, want %d", c.workers, c.procs, got, c.want)
+		}
+	}
+}
+
+// TestServerFiguresCapShedsQueriesNotIngest saturates the figure
+// computation cap and keeps querying while ingest runs: queries past the
+// cap answer 429 with Retry-After, every ingest batch is acknowledged, and
+// the held queries complete once released.
+func TestServerFiguresCapShedsQueriesNotIngest(t *testing.T) {
+	ds := testDataset(t, 0.02, 9)
+	srv := newTestServer(t, t.TempDir(),
+		trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: 64},
+		serverConfig{workers: 1}, durable.Options{})
+	slots := cap(srv.figureSlots)
+	held, release := make(chan struct{}, slots), make(chan struct{})
+	var calls atomic.Int32
+	srv.characterize = func(v *trace.SegView, w int) *core.Report {
+		if calls.Add(1) <= int32(slots) {
+			held <- struct{}{}
+			<-release
+		}
+		return core.CharacterizeSeg(v, w)
+	}
+	ts := httptest.NewServer(srv.mux())
+	defer ts.Close()
+	step := len(ds.Jobs)/16 + 1
+	if st := postBatch(t, ts.URL, ds, 0, step); st != http.StatusOK {
+		t.Fatalf("ingest: %d", st)
+	}
+
+	// Take every slot with a query that does not finish until released.
+	var heldWG sync.WaitGroup
+	for i := 0; i < slots; i++ {
+		heldWG.Add(1)
+		go func() {
+			defer heldWG.Done()
+			resp, _, err := getFigures(ts.URL)
+			if err != nil {
+				t.Error(err)
+			} else if resp.StatusCode != http.StatusOK {
+				t.Errorf("held query: %s", resp.Status)
+			}
+		}()
+	}
+	for i := 0; i < slots; i++ {
+		<-held
+	}
+
+	done := make(chan struct{})
+	var ingestWG sync.WaitGroup
+	ingestWG.Add(1)
+	go func() {
+		defer ingestWG.Done()
+		defer close(done)
+		for lo := step; lo < len(ds.Jobs); lo += step {
+			if st := postBatch(t, ts.URL, ds, lo, min(lo+step, len(ds.Jobs))); st != http.StatusOK {
+				t.Errorf("ingest [%d,%d): %d while figure queries were shed", lo, lo+step, st)
+			}
+		}
+	}()
+	var queryWG sync.WaitGroup
+	for q := 0; q < 4; q++ {
+		queryWG.Add(1)
+		go func() {
+			defer queryWG.Done()
+			for {
+				resp, _, err := getFigures(ts.URL)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+					t.Errorf("query past the cap: %s (Retry-After %q), want 429 with Retry-After",
+						resp.Status, resp.Header.Get("Retry-After"))
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	ingestWG.Wait()
+	queryWG.Wait()
+	close(release)
+	heldWG.Wait()
+	if n := srv.store.Seg().Len(); n != len(ds.Jobs) {
+		t.Fatalf("store has %d jobs, want %d", n, len(ds.Jobs))
+	}
+	var want bytes.Buffer
+	if err := report.RenderReport(&want, core.Characterize(ds.Columns(), 0)); err != nil {
+		t.Fatal(err)
+	}
+	if got := figuresBody(t, ts.URL); got != want.String() {
+		t.Fatalf("figures after the shed differ from the batch pipeline (%d vs %d bytes)", len(got), want.Len())
+	}
 }

@@ -16,10 +16,14 @@
 // (Columns.IfaceMean), Figs. 7b/8 (Columns.Bottlenecks), Fig. 14
 // (Columns.MultiGPU) and Figs. 15–16 by life-cycle category
 // (Columns.ByCategory) — read columns and counters the projection fills as
-// each job is added. A live query therefore costs a tail sort plus a
-// selection per statistic, not a re-sort of the population. The pre-columnar row-walking implementations are preserved in the
-// package's tests (naive_test.go) as the executable specification the
-// columnar figures are tested against.
+// each job is added. The per-user analyses (§IV, Figs. 10–12 and 17) read
+// one fold per user (Columns.UserFolds) and Fig. 13 a fold per GPU count
+// (Columns.GPUCounts), so they cost O(users), not O(jobs). A live query
+// therefore costs a tail sort plus a selection per statistic, not a re-sort
+// or a walk of the population, and no figure reads a job record. The
+// pre-columnar row-walking implementations are preserved in the package's
+// tests (naive_test.go) as the executable specification the columnar
+// figures are tested against.
 package core
 
 import (

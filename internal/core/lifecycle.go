@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 
-	"repro/internal/lifecycle"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -27,7 +26,7 @@ type LifecycleResult struct {
 // projection fills as jobs are added: counts and GPU-hour sums for the
 // shares, and each category's sorted runs for the medians and box plots.
 func Lifecycle(c *trace.Columns) LifecycleResult {
-	r := LifecycleResult{Total: len(c.GPU)}
+	r := LifecycleResult{Total: c.GPUJobs}
 	for cat := range c.ByCategory {
 		g := &c.ByCategory[cat]
 		if r.Total > 0 {
@@ -69,35 +68,27 @@ type UserMixResult struct {
 	UsersOver60PctNonMatureHours float64
 }
 
-// UserMix computes Fig. 17 from the per-user row index.
+// UserMix computes Fig. 17 from the per-user folds' life-cycle job counts
+// and GPU-hour sums.
 func UserMix(c *trace.Columns) UserMixResult {
-	hourVals := c.GPUHours.Values()
-	rows := make([]UserMixRow, 0, len(c.Users))
-	for _, u := range c.Users {
-		idx := c.ByUser[u]
-		row := UserMixRow{User: u, Jobs: len(idx)}
-		var hours [trace.NumCategories]float64
-		var counts [trace.NumCategories]float64
-		for _, k := range idx {
-			cat := lifecycle.Classify(c.GPU[k])
-			counts[cat]++
-			h := hourVals[k]
-			hours[cat] += h
-			row.GPUHours += h
-		}
-		for cat := trace.Category(0); cat < trace.NumCategories; cat++ {
-			row.JobFrac[cat] = counts[cat] / float64(row.Jobs)
+	rows := make([]UserMixRow, len(c.UserFolds))
+	for i := range c.UserFolds {
+		u := &c.UserFolds[i]
+		row := UserMixRow{User: u.User, Jobs: u.Jobs, GPUHours: u.GPUHours}
+		for cat := range row.JobFrac {
+			row.JobFrac[cat] = float64(u.CatJobs[cat]) / float64(row.Jobs)
 			if row.GPUHours > 0 {
-				row.HourFrac[cat] = hours[cat] / row.GPUHours
+				row.HourFrac[cat] = u.CatGPUHours[cat] / row.GPUHours
 			}
 		}
-		rows = append(rows, row)
+		rows[i] = row
 	}
 	return finishUserMix(rows)
 }
 
 // finishUserMix sorts the per-user rows into the two Fig. 17 orderings and
-// derives the aggregate fractions; shared by the naive and columnar paths.
+// derives the aggregate fractions; the row-walking specification in the
+// package's tests shares it.
 func finishUserMix(rows []UserMixRow) UserMixResult {
 	var r UserMixResult
 	r.ByJobs = append([]UserMixRow(nil), rows...)

@@ -235,7 +235,7 @@ func Bottlenecks(c *trace.Columns) BottleneckResult {
 	r := BottleneckResult{
 		SingleFrac: map[metrics.Metric]float64{},
 		PairFrac:   map[[2]metrics.Metric]float64{},
-		Jobs:       len(c.GPU),
+		Jobs:       c.GPUJobs,
 	}
 	if r.Jobs == 0 {
 		return r

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -20,36 +19,34 @@ type UserStats struct {
 	CoVSM, CoVMem, CoVMemSize float64
 }
 
-// AggregateUsers computes per-user statistics over the GPU-job population,
-// sorted by user index, by gathering the run-time and utilization columns
-// through the per-user row index, reusing scratch vectors across users.
+// AggregateUsers reads the per-user statistics over the GPU-job population,
+// sorted by user index, from the folds the projection keeps as jobs are
+// added: O(users), whatever the number of jobs.
 func AggregateUsers(c *trace.Columns) []UserStats {
-	out := make([]UserStats, 0, len(c.Users))
-	hourVals := c.GPUHours.Values()
-	runVals := c.RunMin.Values()
-	smVals := c.Mean[metrics.SMUtil].Values()
-	memVals := c.Mean[metrics.MemUtil].Values()
-	mszVals := c.Mean[metrics.MemSize].Values()
-	var runs, sm, mem, msz []float64
-	for _, u := range c.Users {
-		idx := c.ByUser[u]
-		st := UserStats{User: u, Jobs: len(idx)}
-		runs, sm, mem, msz = runs[:0], sm[:0], mem[:0], msz[:0]
-		for _, k := range idx {
-			st.GPUHours += hourVals[k]
-			runs = append(runs, runVals[k])
-			sm = append(sm, smVals[k])
-			mem = append(mem, memVals[k])
-			msz = append(msz, mszVals[k])
+	out := make([]UserStats, len(c.UserFolds))
+	for i := range c.UserFolds {
+		u := &c.UserFolds[i]
+		out[i] = UserStats{
+			User:       u.User,
+			Jobs:       u.Jobs,
+			GPUHours:   u.GPUHours,
+			AvgRunMin:  sumMean(&u.RunMin),
+			RunCoVPct:  u.RunMin.CoV(),
+			AvgSM:      sumMean(&u.Mean[0]),
+			AvgMem:     sumMean(&u.Mean[1]),
+			AvgMemSize: sumMean(&u.Mean[2]),
+			CoVSM:      u.Mean[0].CoV(),
+			CoVMem:     u.Mean[1].CoV(),
+			CoVMemSize: u.Mean[2].CoV(),
 		}
-		st.AvgRunMin = stats.Mean(runs)
-		st.RunCoVPct = stats.CoV(runs)
-		st.AvgSM, st.AvgMem, st.AvgMemSize = stats.Mean(sm), stats.Mean(mem), stats.Mean(msz)
-		st.CoVSM, st.CoVMem, st.CoVMemSize = stats.CoV(sm), stats.CoV(mem), stats.CoV(msz)
-		out = append(out, st)
 	}
 	return out
 }
+
+// sumMean is stats.Mean over the values s folded: their left-to-right sum
+// over their count. Streaming.Mean is the Welford running mean, which can
+// differ from it in the last bits.
+func sumMean(s *stats.Streaming) float64 { return s.Sum() / float64(s.N()) }
 
 // UserAverageResult is Fig. 10: CDFs across users of average job run time
 // and average utilization.
@@ -189,28 +186,22 @@ type ConcentrationResult struct {
 	UsersWith9Frac     float64
 }
 
-// Concentration computes the §IV/§V statistics from the per-user row
-// index; every output is either sorted internally or an order-independent
-// count, so iterating users in ascending order changes nothing.
+// Concentration computes the §IV/§V statistics from the per-user folds;
+// every output is either sorted internally or an order-independent count,
+// so iterating users in ascending order changes nothing.
 func Concentration(c *trace.Columns) ConcentrationResult {
-	counts := make([]float64, 0, len(c.Users))
+	counts := make([]float64, 0, len(c.UserFolds))
 	var m2, m3, m9 float64
-	for _, u := range c.Users {
-		idx := c.ByUser[u]
-		counts = append(counts, float64(len(idx)))
-		maxGPUs := 0
-		for _, k := range idx {
-			if g := c.NumGPUs[k]; g > maxGPUs {
-				maxGPUs = g
-			}
-		}
-		if maxGPUs >= 2 {
+	for i := range c.UserFolds {
+		u := &c.UserFolds[i]
+		counts = append(counts, float64(u.Jobs))
+		if u.MaxGPUs >= 2 {
 			m2++
 		}
-		if maxGPUs >= 3 {
+		if u.MaxGPUs >= 3 {
 			m3++
 		}
-		if maxGPUs >= 9 {
+		if u.MaxGPUs >= 9 {
 			m9++
 		}
 	}

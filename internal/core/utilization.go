@@ -71,7 +71,7 @@ type InterfaceResult struct {
 // columns.
 func ByInterface(c *trace.Columns) InterfaceResult {
 	var r InterfaceResult
-	total := len(c.GPU)
+	total := c.GPUJobs
 	for iface, cols := range c.IfaceMean {
 		if total > 0 {
 			r.Share[iface] = float64(cols[0].N()) / float64(total)
@@ -115,48 +115,39 @@ type GPUCountResult struct {
 	MultiGPUHourShare float64
 }
 
-// GPUCounts computes Fig. 13 from the GPU-count and GPU-hour columns,
-// accumulating in dataset order so the hour shares match the row scan.
+// GPUCounts computes Fig. 13 from the GPU-count fold: job counts per GPU
+// count, and GPU-hour sums accumulated in dataset order as the row scan
+// would.
 func GPUCounts(c *trace.Columns) GPUCountResult {
 	r := GPUCountResult{FracByCount: map[int]float64{}}
-	if len(c.GPU) == 0 {
+	if c.GPUJobs == 0 {
 		return r
 	}
-	var hours [4]float64
-	var total, multiHours float64
-	hourVals := c.GPUHours.Values()
-	for i, g := range c.NumGPUs {
-		r.FracByCount[g]++
-		h := hourVals[i]
-		hours[trace.SizeClass(g)] += h
-		total += h
-		switch {
-		case g == 1:
-			r.SingleGPUFrac++
-		default:
-			r.MultiGPUFrac++
-			multiHours += h
+	n := float64(c.GPUJobs)
+	var single, multi, over2, ninePlus int
+	for g, jobs := range c.GPUCounts.Jobs {
+		r.FracByCount[g] = float64(jobs) / n
+		if g == 1 {
+			single += jobs
+		} else {
+			multi += jobs
 		}
 		if g > 2 {
-			r.Over2Frac++
+			over2 += jobs
 		}
 		if g >= 9 {
-			r.NinePlusFrac++
+			ninePlus += jobs
 		}
 	}
-	n := float64(len(c.GPU))
-	for k := range r.FracByCount {
-		r.FracByCount[k] /= n
-	}
-	r.SingleGPUFrac /= n
-	r.MultiGPUFrac /= n
-	r.Over2Frac /= n
-	r.NinePlusFrac /= n
-	if total > 0 {
-		for sc := range hours {
-			r.HourShareBySizeClass[sc] = hours[sc] / total
+	r.SingleGPUFrac = float64(single) / n
+	r.MultiGPUFrac = float64(multi) / n
+	r.Over2Frac = float64(over2) / n
+	r.NinePlusFrac = float64(ninePlus) / n
+	if total := c.TotalGPUHours; total > 0 {
+		for sc, h := range c.GPUCounts.HoursBySize {
+			r.HourShareBySizeClass[sc] = h / total
 		}
-		r.MultiGPUHourShare = multiHours / total
+		r.MultiGPUHourShare = c.GPUCounts.MultiHours / total
 	}
 	return r
 }
@@ -187,7 +178,7 @@ func MultiGPU(c *trace.Columns) MultiGPUResult {
 	if m.Considered > 0 {
 		r.IdleGPUJobFrac = float64(m.WithIdle) / float64(m.Considered)
 		r.HalfIdleJobFrac = float64(m.HalfIdle) / float64(m.Considered)
-	} else if len(c.Multi) > 0 {
+	} else if m.Jobs > 0 {
 		// Multi-GPU jobs exist but carry no per-GPU digests (the CSV path
 		// flattens them): the idle-GPU question is unanswerable, not zero.
 		r.IdleGPUJobFrac = math.NaN()

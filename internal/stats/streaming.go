@@ -61,6 +61,21 @@ func (s *Streaming) Variance() float64 {
 // StdDev returns the running population standard deviation.
 func (s *Streaming) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
+// CoV returns the coefficient of variation of the observations in percent,
+// bit-identical to CoV over the same values in the same order: NaN before
+// any observation or for a zero mean, and 0 for a single observation.
+func (s *Streaming) CoV() float64 {
+	switch {
+	case s.n == 0:
+		return math.NaN()
+	case s.n == 1:
+		return 0
+	case s.mean == 0:
+		return math.NaN()
+	}
+	return math.Sqrt(s.m2/float64(s.n)) / math.Abs(s.mean) * 100
+}
+
 // Min returns the smallest observation, or NaN before any observation.
 func (s *Streaming) Min() float64 {
 	if !s.hasSamples {

@@ -24,15 +24,15 @@ func TestStreamingMatchesBatch(t *testing.T) {
 	if s.Min() != 2 || s.Max() != 9 {
 		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
 	}
-	if !almost(s.CoVPct(), 40, 1e-9) {
-		t.Fatalf("CoV = %v", s.CoVPct())
+	if !almost(s.CoV(), 40, 1e-9) {
+		t.Fatalf("CoV = %v", s.CoV())
 	}
 }
 
 func TestStreamingEmpty(t *testing.T) {
 	var s Streaming
 	if !math.IsNaN(s.Mean()) || !math.IsNaN(s.Min()) || !math.IsNaN(s.Max()) ||
-		!math.IsNaN(s.Variance()) || !math.IsNaN(s.CoVPct()) {
+		!math.IsNaN(s.Variance()) || !math.IsNaN(s.CoV()) {
 		t.Fatal("empty streaming accumulator should return NaN")
 	}
 }
@@ -108,6 +108,38 @@ func TestStreamingMergeProperty(t *testing.T) {
 	}
 }
 
+// TestStreamingMatchesBatchBits pins the bit-identity the per-user folds
+// rest on: over the same values in the same order, Sum()/N() is Mean's
+// left-to-right sum over the count and CoV() is CoV, including one value
+// (0) and all zeros (NaN).
+func TestStreamingMatchesBatchBits(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	check := func(xs []float64) bool {
+		var s Streaming
+		for _, x := range xs {
+			s.Add(x)
+		}
+		return same(s.Sum()/float64(s.N()), Mean(xs)) && same(s.CoV(), CoV(xs))
+	}
+	for _, xs := range [][]float64{{0}, {3.5}, {0, 0, 0}, {1e-9, 2, 1e9}, {-1, 1}} {
+		if !check(xs) {
+			t.Errorf("%v: streaming mean/CoV differ from Mean/CoV", xs)
+		}
+	}
+	f := func(raw []float64) bool {
+		xs := make([]float64, 0, len(raw))
+		for _, v := range raw {
+			if !math.IsNaN(v) && !math.IsInf(v, 0) && math.Abs(v) < 1e8 {
+				xs = append(xs, v)
+			}
+		}
+		return len(xs) == 0 || check(xs)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestConcentrationTopShare(t *testing.T) {
 	// 10 users: one submits 91, the rest submit 1 each.
 	contrib := []float64{91, 1, 1, 1, 1, 1, 1, 1, 1, 1}
@@ -143,16 +175,4 @@ func TestLorenzCurve(t *testing.T) {
 	if !almost(pts[0].F, 0.75, 1e-12) || !almost(pts[1].F, 1, 1e-12) {
 		t.Fatalf("curve = %v", pts)
 	}
-}
-
-// CoVPct returns the running coefficient of variation in percent, NaN when
-// undefined (no data or zero mean).
-func (s *Streaming) CoVPct() float64 {
-	if s.n == 0 || s.mean == 0 {
-		return math.NaN()
-	}
-	if s.n == 1 {
-		return 0
-	}
-	return s.StdDev() / math.Abs(s.mean) * 100
 }

@@ -32,7 +32,7 @@ func TestBuildColumnsAllocBudget(t *testing.T) {
 		t.Fatalf("fixture has %d jobs, want 3741", len(ds.Jobs))
 	}
 	allocs := testing.AllocsPerRun(10, func() { trace.BuildColumns(ds) })
-	const budget = 227
+	const budget = 185
 	if allocs > budget {
 		t.Fatalf("BuildColumns allocates %.0f objects over %d jobs, budget %d", allocs, len(ds.Jobs), budget)
 	}

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"maps"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -59,15 +61,7 @@ func (c *FloatColumn) sortedRuns() [][]float64 {
 	return c.runs
 }
 
-// Values returns the column in dataset order. Callers must not mutate it.
-func (c *FloatColumn) Values() []float64 {
-	if c == nil {
-		return nil
-	}
-	return c.vals
-}
-
-// N returns the number of values (including NaNs, matching len of Values).
+// N returns the number of values, NaNs included.
 func (c *FloatColumn) N() int {
 	if c == nil {
 		return 0
@@ -76,9 +70,9 @@ func (c *FloatColumn) N() int {
 }
 
 // Sorted returns the cached ascending sorted view of the column with NaNs
-// dropped — the same multiset an ECDF over Values would hold. The first call
-// sorts a copy; later calls (from any goroutine) return the same slice.
-// Callers must not mutate it.
+// dropped — the same multiset an ECDF over the values would hold. The
+// first call sorts a copy; later calls (from any goroutine) return the same
+// slice. Callers must not mutate it.
 func (c *FloatColumn) Sorted() []float64 {
 	if c == nil {
 		return nil
@@ -129,28 +123,32 @@ func SizeClass(numGPUs int) int {
 const NumSizeClasses = 4
 
 // Columns is the columnar projection of a Dataset, built in ONE pass over
-// the jobs: the filtered analysis populations, typed float64/int vectors for
-// every per-job quantity the characterization suite consumes, and grouping
-// indexes by user. All vectors follow dataset (submission-log) order, so
-// sequential accumulations over them reproduce the row-walking analyses bit
-// for bit; sorted views are materialized lazily per column and shared by
-// every analysis that needs one.
+// the jobs: the filtered analysis populations, typed float64 vectors for
+// every per-job quantity the characterization suite consumes, and per-user
+// and per-GPU-count folds. All vectors follow dataset (submission-log)
+// order, so sequential accumulations over them reproduce the row-walking
+// analyses bit for bit; sorted views are materialized lazily per column and
+// shared by every analysis that needs one.
 //
 // The grouped columns — ByCategory (Figs. 15–16), IfaceMean (Fig. 5),
 // MultiGPU (Fig. 14) and Bottlenecks (Figs. 7b/8) — hold the per-group and
-// per-job values those figures sort or count, projected once as each job is
-// added. A query therefore reads their cached sorted runs and counters
-// instead of gathering, recomputing and re-sorting the population.
+// per-job values those figures sort or count, and the folds — UserFolds
+// (§IV, Figs. 10–12 and 17) and GPUCounts (Fig. 13) — the per-user and
+// per-GPU-count sums and moments, all projected once as each job is added.
+// A query therefore reads cached sorted runs, counters and folds instead of
+// gathering, recomputing and re-sorting the population; no figure reads
+// the record slices GPU, Multi and CPU.
 type Columns struct {
 	// GPU is the analysis population (GPU jobs running at least
-	// MinGPUJobRunSec); the columns below are aligned with it.
+	// MinGPUJobRunSec); the columns below are aligned with it. GPUJobs is
+	// its size.
 	GPU      []*JobRecord
+	GPUJobs  int
 	RunMin   *FloatColumn // run time, minutes
 	WaitSec  *FloatColumn // queue wait, seconds
 	WaitPct  *FloatColumn // wait as % of service time
 	GPUHours *FloatColumn // GPU hours (NumGPUs × run time)
 	HostCPU  *FloatColumn // mean host-CPU utilization, %
-	NumGPUs  []int
 	// Mean[m] and Max[m] are the job-level mean/max of GPU metric m
 	// (averaged across the job's GPUs, as JobRecord.GPU records them).
 	Mean [metrics.NumMetrics]*FloatColumn
@@ -166,9 +164,11 @@ type Columns struct {
 	IfaceMean [NumInterfaces][numIfaceMetrics]*FloatColumn
 
 	// Multi is the subset of GPU with two or more GPUs; MultiGPU holds
-	// their cross-GPU statistics.
+	// their count and cross-GPU statistics.
 	Multi    []*JobRecord
 	MultiGPU MultiGPUColumns
+	// GPUCounts folds the GPU population by GPU count (Fig. 13).
+	GPUCounts GPUCountColumns
 
 	// Bottlenecks counts the GPU jobs that hit capacity on each metric.
 	Bottlenecks BottleneckCounts
@@ -180,10 +180,9 @@ type Columns struct {
 	CPUWaitPct *FloatColumn
 	CPUHostCPU *FloatColumn
 
-	// Users lists distinct users of the GPU population, ascending; ByUser
-	// maps each to the indices of its jobs in GPU (dataset order).
-	Users  []int
-	ByUser map[int][]int32
+	// UserFolds holds one fold per distinct user of the GPU population,
+	// ascending by user.
+	UserFolds []UserFold
 
 	// SeriesIDs is the sorted key set of the detailed-monitoring subset, a
 	// deterministic iteration order over Dataset.Series.
@@ -219,6 +218,8 @@ type CategoryColumns struct {
 // MultiGPUColumns holds Fig. 14's per-job statistics over the multi-GPU
 // jobs that carry per-GPU digests.
 type MultiGPUColumns struct {
+	// Jobs counts every multi-GPU job, with or without per-GPU digests.
+	Jobs int
 	// CoVAll[k] and CoVActive[k] hold each job's CoV (%) of metric k's mean
 	// across all its GPUs and across its active GPUs (0 for a job with one
 	// active GPU); jobs whose CoV is undefined are left out.
@@ -227,6 +228,52 @@ type MultiGPUColumns struct {
 	// WithIdle and HalfIdle those with at least one, and at least half,
 	// of their GPUs idle.
 	Considered, WithIdle, HalfIdle int
+}
+
+// UserFold is one user's GPU jobs folded in append order: the per-user
+// statistics behind §IV's concentration and Figs. 10–12 and 17. Each
+// accumulator takes the user's values in the order a walk over the user's
+// jobs would visit them, so a figure read from the fold is bit-identical to
+// that walk.
+type UserFold struct {
+	User     int
+	Jobs     int
+	MaxGPUs  int     // the largest NumGPUs among the user's jobs
+	GPUHours float64 // left-to-right sum
+	// RunMin folds run minutes and Mean[k] the job-level mean of SM (k = 0),
+	// memory-bandwidth (1) and memory-size (2) utilization. Each keeps the
+	// left-to-right sum stats.Mean takes and the Welford state stats.CoV
+	// takes (Streaming.Sum, Streaming.CoV).
+	RunMin stats.Streaming
+	Mean   [len(groupMetrics)]stats.Streaming
+	// CatJobs[k] and CatGPUHours[k] are the job count and GPU-hour sum of
+	// the user's jobs in §VI life-cycle category k.
+	CatJobs     [NumCategories]int
+	CatGPUHours [NumCategories]float64
+}
+
+// add folds one of the user's jobs, of GPU hours h and category cat.
+func (u *UserFold) add(jp *JobRecord, h float64, cat Category) {
+	u.Jobs++
+	u.MaxGPUs = max(u.MaxGPUs, jp.NumGPUs)
+	u.GPUHours += h
+	u.RunMin.Add(jp.RunSec / 60)
+	for k, m := range groupMetrics {
+		u.Mean[k].Add(jp.GPU[m].Mean)
+	}
+	u.CatJobs[cat]++
+	u.CatGPUHours[cat] += h
+}
+
+// GPUCountColumns is Fig. 13's fold of the GPU population by GPU count.
+type GPUCountColumns struct {
+	// Jobs[g] counts the jobs that used exactly g GPUs.
+	Jobs map[int]int
+	// HoursBySize[s] is the GPU-hour sum of §V size class s, and
+	// MultiHours that of the jobs not using exactly one GPU, each
+	// accumulated in dataset order as TotalGPUHours is.
+	HoursBySize [NumSizeClasses]float64
+	MultiHours  float64
 }
 
 // idleGPUMeanPct is the mean SM and memory-bandwidth utilization below
@@ -251,9 +298,8 @@ type BottleneckCounts struct {
 const bottleneckThresholdPct = 99
 
 // BuildColumns projects d into columns in a single pass over d.Jobs (plus
-// a counting pass that presizes the arrays, and one sort per grouping key
-// set). Prefer Dataset.Columns, which memoizes. The result aliases d.Jobs
-// and d.Series.
+// a counting pass that presizes the arrays). Prefer Dataset.Columns, which
+// memoizes. The result aliases d.Jobs and d.Series.
 func BuildColumns(d *Dataset) *Columns {
 	var n projSizes
 	for i := range d.Jobs {
@@ -348,16 +394,20 @@ func (n *projSizes) capacity(id int) int {
 // full-slice-expression view vals[:n:n] is immutable forever — which is
 // what lets a SegStore snapshot share the arrays with later appends.
 type projection struct {
-	f       [numFloatCols][]float64
-	numGPUs []int
-	gpu     []*JobRecord
-	multi   []*JobRecord
-	cpu     []*JobRecord
-	byUser  map[int][]int32
-	// totalGPUHours and catGPUHours accumulate in append order, the float
-	// sequence every figure's sequential scan folds.
+	f     [numFloatCols][]float64
+	gpu   []*JobRecord
+	multi []*JobRecord
+	cpu   []*JobRecord
+	// users holds one fold per user, ascending by user, and userIdx maps a
+	// user to its fold's index. A new user shifts the folds after it, which
+	// costs O(users) but happens once per user.
+	users   []UserFold
+	userIdx map[int]int
+	// totalGPUHours, catGPUHours and gpuCounts' sums accumulate in append
+	// order, the float sequence every figure's sequential scan folds.
 	totalGPUHours float64
 	catGPUHours   [NumCategories]float64
+	gpuCounts     GPUCountColumns
 	multiGPU      MultiGPUColumns // counters only; the CoV arrays live in f
 	bottlenecks   BottleneckCounts
 	// covVals and covAct are scratch for one job's per-GPU values.
@@ -367,10 +417,10 @@ type projection struct {
 // newProjection presizes the arrays to the lengths n counted.
 func newProjection(n projSizes) *projection {
 	p := &projection{
-		numGPUs: make([]int, 0, n.gpu),
-		gpu:     make([]*JobRecord, 0, n.gpu),
-		cpu:     make([]*JobRecord, 0, n.cpu),
-		byUser:  make(map[int][]int32),
+		gpu:       make([]*JobRecord, 0, n.gpu),
+		cpu:       make([]*JobRecord, 0, n.cpu),
+		userIdx:   make(map[int]int),
+		gpuCounts: GPUCountColumns{Jobs: make(map[int]int)},
 	}
 	for id := range p.f {
 		if c := n.capacity(id); c > 0 {
@@ -395,9 +445,7 @@ func (p *projection) add(jp *JobRecord) bool {
 	if jp.RunSec < MinGPUJobRunSec {
 		return false
 	}
-	idx := int32(len(p.gpu))
 	p.gpu = append(p.gpu, jp)
-	p.numGPUs = append(p.numGPUs, jp.NumGPUs)
 	p.f[sfRunMin] = append(p.f[sfRunMin], jp.RunSec/60)
 	p.f[sfWaitSec] = append(p.f[sfWaitSec], jp.WaitSec)
 	p.f[sfWaitPct] = append(p.f[sfWaitPct], jp.WaitFraction())
@@ -427,11 +475,32 @@ func (p *projection) add(jp *JobRecord) bool {
 	}
 	if jp.NumGPUs >= 2 {
 		p.multi = append(p.multi, jp)
+		p.multiGPU.Jobs++
 		p.addMultiGPU(jp)
 	}
 	p.addBottlenecks(jp)
-	p.byUser[jp.User] = append(p.byUser[jp.User], idx)
+	p.user(jp.User).add(jp, h, Category(cat))
+	g := &p.gpuCounts
+	g.Jobs[jp.NumGPUs]++
+	g.HoursBySize[SizeClass(jp.NumGPUs)] += h
+	if jp.NumGPUs != 1 {
+		g.MultiHours += h
+	}
 	return true
+}
+
+// user returns u's fold, inserting an empty one in user order on u's first
+// job.
+func (p *projection) user(u int) *UserFold {
+	if k, ok := p.userIdx[u]; ok {
+		return &p.users[k]
+	}
+	k := sort.Search(len(p.users), func(i int) bool { return p.users[i].User > u })
+	p.users = slices.Insert(p.users, k, UserFold{User: u})
+	for i := k; i < len(p.users); i++ {
+		p.userIdx[p.users[i].User] = i
+	}
+	return &p.users[k]
 }
 
 // addMultiGPU folds one multi-GPU job's idle-GPU counts and cross-GPU CoVs
@@ -524,31 +593,34 @@ func capacityHits(d *metrics.MetricSummaries) uint {
 
 // columns assembles a Columns over everything added so far from
 // full-slice-expression views of the arrays, so later adds never show
-// through. col wraps each float array view (given its sf* id) as a column;
-// series is adopted as the Columns' series map.
+// through, and copies of the folds, O(users + GPU counts). col wraps each
+// float array view (given its sf* id) as a column; series is adopted as the
+// Columns' series map.
 func (p *projection) columns(durationDays float64, series map[int64]*TimeSeries, col func(id int, vals []float64) *FloatColumn) *Columns {
 	view := func(id int) *FloatColumn {
 		n := len(p.f[id])
 		return col(id, p.f[id][:n:n])
 	}
+	gpuCounts := p.gpuCounts
+	gpuCounts.Jobs = maps.Clone(p.gpuCounts.Jobs)
 	c := &Columns{
 		GPU:           p.gpu[:len(p.gpu):len(p.gpu)],
+		GPUJobs:       len(p.gpu),
 		RunMin:        view(sfRunMin),
 		WaitSec:       view(sfWaitSec),
 		WaitPct:       view(sfWaitPct),
 		GPUHours:      view(sfGPUHours),
 		HostCPU:       view(sfHostCPU),
-		NumGPUs:       p.numGPUs[:len(p.numGPUs):len(p.numGPUs)],
 		Multi:         p.multi[:len(p.multi):len(p.multi)],
 		MultiGPU:      p.multiGPU,
+		GPUCounts:     gpuCounts,
 		Bottlenecks:   p.bottlenecks,
 		CPU:           p.cpu[:len(p.cpu):len(p.cpu)],
 		CPURunMin:     view(sfCPURunMin),
 		CPUWaitSec:    view(sfCPUWaitSec),
 		CPUWaitPct:    view(sfCPUWaitPct),
 		CPUHostCPU:    view(sfCPUHostCPU),
-		Users:         make([]int, 0, len(p.byUser)),
-		ByUser:        make(map[int][]int32, len(p.byUser)),
+		UserFolds:     slices.Clone(p.users),
 		SeriesIDs:     sortedSeriesKeys(series),
 		TotalGPUHours: p.totalGPUHours,
 		DurationDays:  durationDays,
@@ -578,11 +650,6 @@ func (p *projection) columns(durationDays float64, series map[int64]*TimeSeries,
 		c.MultiGPU.CoVAll[k] = view(sfCoVAll0 + k)
 		c.MultiGPU.CoVActive[k] = view(sfCoVActive0 + k)
 	}
-	for u, idx := range p.byUser {
-		c.Users = append(c.Users, u)
-		c.ByUser[u] = idx[:len(idx):len(idx)]
-	}
-	sort.Ints(c.Users)
 	return c
 }
 

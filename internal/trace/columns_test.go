@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"maps"
 	"math"
 	"sort"
 	"testing"
@@ -96,7 +97,7 @@ func TestColumnsMatchRowScans(t *testing.T) {
 	}
 	for i, j := range wantGPU {
 		if c.WaitSec.Values()[i] != j.WaitSec || c.WaitPct.Values()[i] != j.WaitFraction() ||
-			c.GPUHours.Values()[i] != j.GPUHours() || c.NumGPUs[i] != j.NumGPUs ||
+			c.GPUHours.Values()[i] != j.GPUHours() ||
 			c.HostCPU.Values()[i] != j.HostCPU.Mean {
 			t.Fatalf("per-job columns mismatch at %d", i)
 		}
@@ -105,26 +106,50 @@ func TestColumnsMatchRowScans(t *testing.T) {
 		t.Fatalf("TotalGPUHours %v, want %v", c.TotalGPUHours, d.TotalGPUHours())
 	}
 
-	// Grouping indexes.
-	wantUsers := make([]int, 0)
-	for u := range d.ByUser() {
+	if c.GPUJobs != len(wantGPU) || c.MultiGPU.Jobs != len(wantMulti) {
+		t.Fatalf("counts GPUJobs %d MultiGPU.Jobs %d, want %d and %d", c.GPUJobs, c.MultiGPU.Jobs, len(wantGPU), len(wantMulti))
+	}
+
+	// Per-user folds, ascending by user, each folding the user's jobs in
+	// dataset order.
+	byUser := d.ByUser()
+	wantUsers := make([]int, 0, len(byUser))
+	for u := range byUser {
 		wantUsers = append(wantUsers, u)
 	}
 	sort.Ints(wantUsers)
-	if len(c.Users) != len(wantUsers) {
-		t.Fatalf("Users = %v, want %v", c.Users, wantUsers)
+	if len(c.UserFolds) != len(wantUsers) {
+		t.Fatalf("%d user folds, want users %v", len(c.UserFolds), wantUsers)
 	}
-	for u, jobs := range d.ByUser() {
-		idx := c.ByUser[u]
-		if len(idx) != len(jobs) {
-			t.Fatalf("ByUser[%d] size %d, want %d", u, len(idx), len(jobs))
+	for i, u := range wantUsers {
+		want := UserFold{User: u}
+		for _, j := range byUser[u] {
+			want.add(j, j.GPUHours(), CategoryOf(j.Exit, j.Interface))
 		}
-		for k, j := range jobs {
-			if c.GPU[idx[k]] != j {
-				t.Fatalf("ByUser[%d][%d] wrong record", u, k)
-			}
+		if got := c.UserFolds[i]; got != want {
+			t.Fatalf("UserFolds[%d] = %+v, want %+v", i, got, want)
+		}
+		if want.Jobs != len(byUser[u]) {
+			t.Fatalf("user %d fold has %d jobs, want %d", u, want.Jobs, len(byUser[u]))
 		}
 	}
+
+	// GPU-count fold.
+	wantCounts := map[int]int{}
+	var wantSizeHours [NumSizeClasses]float64
+	var wantMultiHours float64
+	for _, j := range wantGPU {
+		wantCounts[j.NumGPUs]++
+		wantSizeHours[SizeClass(j.NumGPUs)] += j.GPUHours()
+		if j.NumGPUs != 1 {
+			wantMultiHours += j.GPUHours()
+		}
+	}
+	g := &c.GPUCounts
+	if !maps.Equal(g.Jobs, wantCounts) || g.HoursBySize != wantSizeHours || g.MultiHours != wantMultiHours {
+		t.Fatalf("GPUCounts = %+v, want %v %v %v", *g, wantCounts, wantSizeHours, wantMultiHours)
+	}
+
 	// Grouped columns: each interface's and life-cycle category's columns
 	// hold its jobs' values in dataset order, and each category's GPU
 	// hours fold in that order.

@@ -68,3 +68,13 @@ func (ts *TimeSeries) Duration() float64 {
 	}
 	return float64(len(ts.PerGPU[0])) * ts.IntervalSec
 }
+
+// Values returns the column in dataset order, for the tests that check it
+// value by value; the figures read sums, folds and sorted runs instead.
+// Callers must not mutate it.
+func (c *FloatColumn) Values() []float64 {
+	if c == nil {
+		return nil
+	}
+	return c.vals
+}

@@ -29,9 +29,9 @@ import (
 //     sort of the small tail, and merging ascending runs of a multiset
 //     yields the same ascending array as sorting the whole — without
 //     re-sorting sealed data ever again;
-//   - order-independent structures (the per-user index, the grouped
-//     columns' counters) are built incrementally exactly as BuildColumns
-//     builds them.
+//   - the per-user and per-GPU-count folds and the grouped columns'
+//     counters accumulate job by job in append order, exactly as
+//     BuildColumns accumulates them, and a snapshot copies them.
 //
 // Sealing freezes the tail: the appender that sealed it sorts its run off
 // the lock, the next snapshot folds it into the sealed-prefix merge cascade

@@ -92,14 +92,16 @@ func compareColumns(t *testing.T, want, got *trace.Columns) {
 	for s := 0; s < trace.NumSizeClasses; s++ {
 		compareColumn(t, fmt.Sprintf("WaitBySize[%d]", s), want.WaitBySize[s], got.WaitBySize[s])
 	}
-	if fmt.Sprintf("%v", want.NumGPUs) != fmt.Sprintf("%v", got.NumGPUs) {
-		t.Errorf("NumGPUs differ")
+	if want.GPUJobs != got.GPUJobs || want.MultiGPU.Jobs != got.MultiGPU.Jobs {
+		t.Errorf("counts: GPUJobs %d/%d MultiGPU.Jobs %d/%d", want.GPUJobs, got.GPUJobs, want.MultiGPU.Jobs, got.MultiGPU.Jobs)
 	}
-	if fmt.Sprintf("%v", want.Users) != fmt.Sprintf("%v", got.Users) {
-		t.Errorf("Users differ: %v vs %v", want.Users, got.Users)
+	// The folds hold floats only through sums and Welford states; %v
+	// renders every bit a float64 carries (shortest round-trip form).
+	if fmt.Sprintf("%v", want.UserFolds) != fmt.Sprintf("%v", got.UserFolds) {
+		t.Errorf("UserFolds differ")
 	}
-	if fmt.Sprintf("%v", want.ByUser) != fmt.Sprintf("%v", got.ByUser) {
-		t.Errorf("ByUser index differs")
+	if fmt.Sprintf("%v", want.GPUCounts) != fmt.Sprintf("%v", got.GPUCounts) {
+		t.Errorf("GPUCounts differ: %v vs %v", want.GPUCounts, got.GPUCounts)
 	}
 	for k := range want.ByCategory {
 		w, g := &want.ByCategory[k], &got.ByCategory[k]
