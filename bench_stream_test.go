@@ -142,7 +142,7 @@ func BenchmarkFiguresAfterAppend(b *testing.B) {
 	const baseJobs, appendJobs = 50_000, 1000
 	ds := charDataset(b, baseJobs+appendJobs)
 	base, batch := ds.Jobs[:baseJobs], ds.Jobs[baseJobs:baseJobs+appendJobs]
-	cfg := trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: trace.DefaultSegmentJobs, MaxSegments: 64}
+	cfg := trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: trace.DefaultSegmentJobs}
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()

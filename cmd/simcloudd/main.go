@@ -5,34 +5,36 @@
 // like the system-wide telemetry services the paper's operational sections
 // describe.
 //
-// The store is durable: every ingest batch, telemetry record and admin
-// operation is committed to a CRC-framed, hash-chained write-ahead log
-// (internal/durable) before it is applied, and the store checkpoints into
-// snapshots. Only the commit (admission, WAL append, apply) is serialized:
-// ingest bodies are decoded before it, and a checkpoint is written after
-// it, so concurrent ingests keep committing while either runs. Kill the
-// process at any instant and restarting with the same -data-dir recovers a
-// store whose every query answer is byte-identical to one that never
-// crashed — the chaos harness (make chaos) proves exactly that. Batches
-// carry client IDs (X-Batch-ID, defaulting to the body's SHA-256), so a
-// client retrying an ambiguous failure is applied exactly once.
+// The store is durable: every ingest batch and telemetry record is
+// committed to a CRC-framed, hash-chained write-ahead log (internal/durable)
+// before it is applied, and the store checkpoints into snapshots. Only the
+// commit (admission, WAL append, apply) is serialized: ingest bodies are
+// decoded before it, and a checkpoint is written after it, so concurrent
+// ingests keep committing while either runs. Kill the process at any
+// instant and restarting with the same -data-dir recovers a store whose
+// every query answer is byte-identical to one that never crashed — the
+// chaos harness (make chaos) proves exactly that. Batches carry client IDs
+// (X-Batch-ID, defaulting to the body's SHA-256), so a client retrying an
+// ambiguous failure is applied exactly once.
 //
 // Ingest appends are O(tail): sealed segments are immutable, their sorted
 // views are cached once and merged (never re-sorted) at query time, and a
-// query between appends reuses the memoized snapshot outright. Memory is
-// bounded by -max-jobs (ingest past the bound is rejected with 507) and
-// -max-segments (sealed segments past the bound are pairwise compacted);
-// overload is shed with 429 + Retry-After once the unsealed backlog passes
-// -backlog-max, and request bodies are capped at -max-body-bytes (413).
-// Figure queries are bounded too: at most GOMAXPROCS / -workers of them
-// (at least one) compute at once, and the rest are shed with 429 +
-// Retry-After.
+// query between appends reuses the memoized snapshot outright. The summary
+// digest is folded at append in job order, so it is O(1) to answer and the
+// same however the store sealed. Memory is bounded by -max-jobs (ingest past
+// the bound is rejected with 507). Overload is shed with 429 + Retry-After:
+// ingest once the unsealed tail passes -backlog-max, telemetry once the tail
+// plus staged telemetry does. Request bodies are capped at -max-body-bytes
+// (413). -max-segments is ignored; it is kept only so that existing command
+// lines and the benchmark harness still parse. Figure queries are bounded
+// too: at most GOMAXPROCS / -workers of them (at least one) compute at
+// once, and the rest are shed with 429 + Retry-After.
 //
 // Usage:
 //
 //	simcloudd -addr :8080 -data-dir /var/lib/simcloudd
 //	tracegen -scale 0.05 -json | curl -sS --data-binary @- localhost:8080/v1/ingest
-//	curl -sS localhost:8080/v1/summary   # O(segments) streaming digest
+//	curl -sS localhost:8080/v1/summary   # O(1) streaming digest
 //	curl -sS localhost:8080/v1/figures   # full characterization suite
 //
 // Endpoints:
@@ -43,11 +45,11 @@
 //	POST /v1/telemetry  one monitoring-epilog record (job_id, per_gpu,
 //	                    series), staged for the §II job-ID join
 //	GET  /v1/stats      store geometry: jobs, segments, tail, staged, WAL
-//	GET  /v1/summary    merged per-segment digest (counts, moments) as JSON
+//	GET  /v1/summary    append-order digest (counts, moments) as JSON
 //	GET  /v1/figures    full figure suite over a snapshot (text tables);
 //	                    429 while the query cap is computing
-//	POST /v1/seal       seal the tail now (admin, WAL-logged)
-//	POST /v1/compact    pairwise-compact sealed segments now (admin, WAL-logged)
+//	POST /v1/seal       seal the tail now (admin; a performance hint that
+//	                    drains the backlog, not logged)
 //	POST /v1/snapshot   checkpoint now (admin)
 //	GET  /healthz       liveness: 200 while the process serves
 //	GET  /readyz        readiness: 503 while draining or shedding load
@@ -101,7 +103,7 @@ func run(args []string) error {
 		rotateBytes = fs.Int64("wal-rotate-bytes", durable.DefaultRotateBytes, "WAL file rotation threshold")
 		snapJobs    = fs.Int("snapshot-jobs", 100_000, "checkpoint automatically every N ingested jobs (0 = only on shutdown)")
 		segmentJobs = fs.Int("segment-jobs", trace.DefaultSegmentJobs, "seal the mutable tail every N jobs")
-		maxSegments = fs.Int("max-segments", 64, "compact when sealed segments exceed N (0 = never)")
+		maxSegments = fs.Int("max-segments", 64, "ignored; kept so existing command lines and the benchmark harness still parse")
 		maxJobs     = fs.Int("max-jobs", 2_000_000, "reject ingest beyond N stored jobs (0 = unbounded)")
 		backlogMax  = fs.Int("backlog-max", 500_000, "shed ingest (429) while unsealed backlog exceeds N (0 = never)")
 		maxBody     = fs.Int64("max-body-bytes", 64<<20, "reject request bodies larger than N bytes (413)")
@@ -163,8 +165,8 @@ func run(args []string) error {
 		IdleTimeout:       2 * time.Minute,
 	}
 	// The chaos harness scrapes this exact line for the bound port.
-	log.Printf("listening on %s (data-dir=%s wal-sync=%s segment-jobs=%d max-segments=%d max-jobs=%d backlog-max=%d)",
-		ln.Addr(), dir, *walSync, *segmentJobs, *maxSegments, *maxJobs, *backlogMax)
+	log.Printf("listening on %s (data-dir=%s wal-sync=%s segment-jobs=%d max-jobs=%d backlog-max=%d)",
+		ln.Addr(), dir, *walSync, *segmentJobs, *maxJobs, *backlogMax)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -244,7 +246,6 @@ func (s *server) mux() *http.ServeMux {
 	m.HandleFunc("/v1/summary", getOnly(s.handleSummary))
 	m.HandleFunc("/v1/figures", getOnly(s.handleFigures))
 	m.HandleFunc("/v1/seal", s.handleSeal)
-	m.HandleFunc("/v1/compact", s.handleCompact)
 	m.HandleFunc("/v1/snapshot", s.handleSnapshot)
 	m.HandleFunc("/healthz", s.handleHealthz)
 	m.HandleFunc("/readyz", getOnly(s.handleReadyz))
@@ -263,20 +264,22 @@ func getOnly(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// admitWrite runs the write-path gate: drain state, then backlog shedding.
-// It reports whether the request may proceed.
-func (s *server) admitWrite(w http.ResponseWriter) bool {
+// admitWrite runs the write-path gate: drain state, then shedding while
+// backlog exceeds -backlog-max. It reports whether the request may
+// proceed. Ingest passes the unsealed tail alone: staged telemetry drains
+// only when its job is ingested, so counting it would let a full staging
+// map refuse, for good, the ingest that drains it. Telemetry passes the
+// whole Backlog, which bounds the staged map.
+func (s *server) admitWrite(w http.ResponseWriter, backlog int) bool {
 	if s.draining.Load() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return false
 	}
-	if s.cfg.backlogMax > 0 {
-		if backlog := s.store.Backlog(); backlog > s.cfg.backlogMax {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, fmt.Sprintf("backlog %d exceeds -backlog-max %d", backlog, s.cfg.backlogMax),
-				http.StatusTooManyRequests)
-			return false
-		}
+	if s.cfg.backlogMax > 0 && backlog > s.cfg.backlogMax {
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, fmt.Sprintf("backlog %d exceeds -backlog-max %d", backlog, s.cfg.backlogMax),
+			http.StatusTooManyRequests)
+		return false
 	}
 	return true
 }
@@ -314,7 +317,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if !s.admitWrite(w) {
+	if !s.admitWrite(w, s.store.Seg().TailJobs()) {
 		return
 	}
 	body, ok := s.readBody(w, r)
@@ -364,7 +367,7 @@ func (s *server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if !s.admitWrite(w) {
+	if !s.admitWrite(w, s.store.Backlog()) {
 		return
 	}
 	body, ok := s.readBody(w, r)
@@ -416,7 +419,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// summaryResponse flattens the mergeable digest for JSON consumers.
+// summaryResponse flattens the store's digest for JSON consumers.
 type summaryResponse struct {
 	Jobs     int `json:"jobs"`
 	GPUJobs  int `json:"gpu_jobs"`
@@ -477,10 +480,6 @@ func (s *server) handleFigures(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleSeal(w http.ResponseWriter, r *http.Request) {
 	s.handleAdmin(w, r, s.store.SealTail)
-}
-
-func (s *server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	s.handleAdmin(w, r, s.store.Compact)
 }
 
 func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {

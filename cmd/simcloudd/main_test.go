@@ -64,12 +64,13 @@ func newTestServer(t *testing.T, dir string, seg trace.SegConfig, cfg serverConf
 }
 
 // TestServerIngestQuery drives the full HTTP surface serially: batched
-// ingest, stats, summary, admin seal/compact/snapshot, and a figures render
-// that matches the batch pipeline over the same jobs.
+// ingest, stats, summary, admin seal/snapshot, and a figures render that
+// matches the batch pipeline over the same jobs. Compaction is gone:
+// POST /v1/compact is not found.
 func TestServerIngestQuery(t *testing.T) {
 	ds := testDataset(t, 0.02, 3)
 	srv := newTestServer(t, t.TempDir(),
-		trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: 100, MaxSegments: 8},
+		trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: 100},
 		serverConfig{workers: 2}, durable.Options{})
 	ts := httptest.NewServer(srv.mux())
 	defer ts.Close()
@@ -118,7 +119,7 @@ func TestServerIngestQuery(t *testing.T) {
 		t.Fatalf("summary populations %d/%d, want %d/%d", sum.GPUJobs, sum.CPUJobs, len(cols.GPU), len(cols.CPU))
 	}
 
-	for _, ep := range []string{"/v1/seal", "/v1/compact", "/v1/snapshot"} {
+	for _, ep := range []string{"/v1/seal", "/v1/snapshot"} {
 		resp, err := http.Post(ts.URL+ep, "", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -127,6 +128,14 @@ func TestServerIngestQuery(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: %s", ep, resp.Status)
 		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/compact", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/v1/compact: %s, want 404", resp.Status)
 	}
 
 	// The rendered figures must match the batch pipeline over the same jobs.
@@ -238,7 +247,7 @@ func TestServerIdempotentIngest(t *testing.T) {
 func TestServerRestartRecovers(t *testing.T) {
 	ds := testDataset(t, 0.02, 13)
 	dir := t.TempDir()
-	seg := trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: 64, MaxSegments: 6}
+	seg := trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: 64}
 
 	store, err := durable.Open(dir, seg, durable.Options{})
 	if err != nil {
@@ -354,7 +363,6 @@ func TestServerRequestLimits(t *testing.T) {
 		{http.MethodGet, "/v1/ingest"},
 		{http.MethodGet, "/v1/telemetry"},
 		{http.MethodGet, "/v1/seal"},
-		{http.MethodGet, "/v1/compact"},
 		{http.MethodGet, "/v1/snapshot"},
 		{http.MethodPost, "/v1/stats"},
 		{http.MethodPost, "/v1/summary"},
@@ -468,13 +476,62 @@ func TestServerBackpressure(t *testing.T) {
 	}
 }
 
+// TestServerStagedTelemetryDoesNotWedgeIngest: staged telemetry drains only
+// when its job is ingested, so it must not count against ingest admission.
+// Telemetry is shed once tail plus staged passes -backlog-max; the ingest
+// of the staged jobs is still admitted and drains the staged map, and
+// telemetry is admitted again after it.
+func TestServerStagedTelemetryDoesNotWedgeIngest(t *testing.T) {
+	ds := testDataset(t, 0.005, 29)
+	const backlogMax = 5
+	srv := newTestServer(t, t.TempDir(),
+		trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: 4},
+		serverConfig{workers: 1, backlogMax: backlogMax}, durable.Options{})
+	ts := httptest.NewServer(srv.mux())
+	defer ts.Close()
+
+	stage := func(k int) int {
+		t.Helper()
+		body := fmt.Sprintf(`{"job_id": %d}`, ds.Jobs[k].JobID)
+		resp, err := http.Post(ts.URL+"/v1/telemetry", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for k := 0; k <= backlogMax; k++ {
+		if code := stage(k); code != http.StatusOK {
+			t.Fatalf("telemetry %d: %d, want 200", k, code)
+		}
+	}
+	if code := stage(backlogMax + 1); code != http.StatusTooManyRequests {
+		t.Fatalf("telemetry past -backlog-max: %d, want 429", code)
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", encodeBatch(t, ds, 0, backlogMax+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest of the staged jobs: %s, want 200", resp.Status)
+	}
+	if n := srv.store.Seg().StagedJobs(); n != 0 {
+		t.Fatalf("%d telemetry records still staged after their jobs arrived", n)
+	}
+	if code := stage(backlogMax + 1); code != http.StatusOK {
+		t.Fatalf("telemetry after the drain: %d, want 200", code)
+	}
+}
+
 // TestServerConcurrentIngestQuery is a -race scenario (`make race`):
 // parallel ingest writers against parallel summary/stats/figures readers,
 // then a final consistency check against the batch pipeline.
 func TestServerConcurrentIngestQuery(t *testing.T) {
 	ds := testDataset(t, 0.02, 7)
 	srv := newTestServer(t, t.TempDir(),
-		trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: 64, MaxSegments: 6},
+		trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: 64},
 		serverConfig{workers: 2}, durable.Options{})
 	ts := httptest.NewServer(srv.mux())
 	defer ts.Close()

@@ -102,7 +102,7 @@ func TestFoldFiguresMatchNaive(t *testing.T) {
 			return &trace.Dataset{Jobs: ds.Jobs[:n], DurationDays: ds.DurationDays}
 		}
 		for _, segJobs := range []int{1, 7, 4096} {
-			st := trace.NewSegStore(trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: segJobs, MaxSegments: 3})
+			st := trace.NewSegStore(trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: segJobs})
 			for i := 0; i < len(ds.Jobs); {
 				end := min(len(ds.Jobs), i+1+int(seed)*37)
 				st.AppendBatch(ds.Jobs[i:end])
@@ -112,12 +112,10 @@ func TestFoldFiguresMatchNaive(t *testing.T) {
 		}
 
 		half := len(ds.Jobs) / 2
-		st := trace.NewSegStore(trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: 7, MaxSegments: 3})
+		cfg := trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: 7}
+		st := trace.NewSegStore(cfg)
 		st.AppendBatch(ds.Jobs[:half])
-		restored, err := trace.RestoreSegStore(trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: 7, MaxSegments: 3}, st.ExportState())
-		if err != nil {
-			t.Fatal(err)
-		}
+		restored := trace.RestoreSegStore(cfg, st.ExportState())
 		checkFoldFigures(t, fmt.Sprintf("seed=%d/restored", seed), prefix(half), restored.Snapshot().Cols)
 		restored.AppendBatch(ds.Jobs[half:])
 		checkFoldFigures(t, fmt.Sprintf("seed=%d/restored+appended", seed), ds, restored.Snapshot().Cols)

@@ -18,8 +18,7 @@ func segStoreFrom(ds *trace.Dataset, cfg trace.SegConfig) *trace.SegStore {
 
 // TestCharacterizeSegMatchesBatch pins the ISSUE 8 acceptance bar at the
 // figure level: the segmented suite is value-identical to the batch suite
-// for every (segment size × worker count) combination, including compacted
-// stores.
+// for every (segment size × worker count) combination.
 func TestCharacterizeSegMatchesBatch(t *testing.T) {
 	ds := equivDataset(t)
 	want := Characterize(ds.Columns(), 0)
@@ -27,18 +26,18 @@ func TestCharacterizeSegMatchesBatch(t *testing.T) {
 		{SegmentJobs: 1 << 20}, // tail only, never seals
 		{SegmentJobs: 37},
 		{SegmentJobs: 512},
-		{SegmentJobs: 64, MaxSegments: 3}, // heavy compaction
+		{SegmentJobs: 64},
 	} {
 		st := segStoreFrom(ds, cfg)
 		for _, workers := range []int{1, 2, 7} {
-			label := fmt.Sprintf("seg=%d/max=%d/workers=%d", cfg.SegmentJobs, cfg.MaxSegments, workers)
+			label := fmt.Sprintf("seg=%d/workers=%d", cfg.SegmentJobs, workers)
 			diffReports(t, label, want, CharacterizeSeg(st.Snapshot(), workers))
 		}
 	}
 }
 
 // TestCharacterizeSegRandomSchedules extends the executable-spec pattern to
-// randomized append/seal/compact interleavings: at arbitrary prefixes the
+// randomized append/seal interleavings: at arbitrary prefixes the
 // streaming suite must match Characterize over the same prefix.
 func TestCharacterizeSegRandomSchedules(t *testing.T) {
 	full := equivDataset(t)
@@ -56,11 +55,8 @@ func TestCharacterizeSegRandomSchedules(t *testing.T) {
 			}
 			st.AppendBatch(full.Jobs[i : i+batch])
 			i += batch
-			switch rng.Intn(3) {
-			case 0:
+			if rng.Intn(3) == 0 {
 				st.SealTail()
-			case 1:
-				st.Compact()
 			}
 			prefix := &trace.Dataset{Jobs: full.Jobs[:i], DurationDays: full.DurationDays}
 			label := fmt.Sprintf("trial=%d/jobs=%d", trial, i)

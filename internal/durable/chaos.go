@@ -19,13 +19,11 @@ import (
 //
 // Specs (comma-separated):
 //
-//	wal:<n>          die after writing n bytes of the next WAL record
-//	apply:<k>        die after the k-th WAL append, before applying to the store
-//	sealapply:<k>    die after logging the k-th seal, before sealing the store
-//	compactapply:<k> die after logging the k-th compaction, before compacting
-//	snaptmp:<k>      die after writing the k-th snapshot temp file, before rename
-//	snaprename:<k>   die after renaming the k-th snapshot, before pruning
-//	snapprune:<k>    die after pruning for the k-th snapshot, before dir sync
+//	wal:<n>        die after writing n bytes of the next WAL record
+//	apply:<k>      die after the k-th WAL append, before applying to the store
+//	snaptmp:<k>    die after writing the k-th snapshot temp file, before rename
+//	snaprename:<k> die after renaming the k-th snapshot, before pruning
+//	snapprune:<k>  die after pruning for the k-th snapshot, before dir sync
 //
 // Failpoints fire from more than one goroutine: the apply and wal points
 // under the Store's commit mutex, the snapshot points while a checkpoint is
@@ -47,12 +45,10 @@ type Chaos struct {
 
 // Failpoint names accepted as `<point>:<count>` specs.
 var chaosPoints = map[string]bool{
-	"apply":        true,
-	"sealapply":    true,
-	"compactapply": true,
-	"snaptmp":      true,
-	"snaprename":   true,
-	"snapprune":    true,
+	"apply":      true,
+	"snaptmp":    true,
+	"snaprename": true,
+	"snapprune":  true,
 }
 
 // ParseChaos parses a comma-separated failpoint spec. An empty spec returns

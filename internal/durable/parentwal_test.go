@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/metrics"
+	"repro/internal/report"
 	"repro/internal/trace"
 )
 
@@ -55,16 +58,8 @@ func TestOpenReplaysParentWAL(t *testing.T) {
 	if a, b := fingerprint(t, st.Seg()), fingerprint(t, ref); a != b {
 		t.Fatal("replayed store diverged from the encoding/json decodes")
 	}
-	gotSum, err := json.Marshal(st.Seg().Summary())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSum, err := json.Marshal(ref.Summary())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotSum, wantSum) {
-		t.Fatalf("summary %s, want %s", gotSum, wantSum)
+	if a, b := summaryBits(st.Seg().Summary()), summaryBits(ref.Summary()); a != b {
+		t.Fatalf("summary %s, want %s", a, b)
 	}
 	if figures(st.Seg()) != figures(ref) {
 		t.Fatal("replayed store's figures diverged from the encoding/json decodes")
@@ -76,6 +71,84 @@ func TestOpenReplaysParentWAL(t *testing.T) {
 		if j.RunSec < 60 || j.User >= 17 {
 			t.Fatalf("job %d decoded as RunSec %v, User %d", j.JobID, j.RunSec, j.User)
 		}
+	}
+}
+
+// TestOpenParentDir: testdata/parent-dir is a data dir that commit f97a11e
+// wrote, when the summary digest depended on segment geometry, closed
+// without a final checkpoint. Its format-1 snapshot carries two segment
+// digests, the first produced by a compaction; its WAL suffix holds a seal
+// and a compaction record; figures.txt is the /v1/figures body (after the
+// header) that version served from the dir. Open must read it, serve the
+// same figures byte for byte, leave no recovered job in the tail, and hold
+// the summary of a fresh store fed the same operations.
+func TestOpenParentDir(t *testing.T) {
+	src := filepath.Join("testdata", "parent-dir")
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The config the dir was written with; Open refuses any other.
+	cfg := trace.SegConfig{DurationDays: 7, SegmentJobs: 64, MaxSegments: 4}
+	st, err := Open(dir, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.CloseNoSnapshot()
+
+	// The operations that wrote the dir, minus its seals and compactions.
+	ref := trace.NewSegStore(cfg)
+	stage := func(id int64) {
+		per := []metrics.MetricSummaries{{metrics.SMUtil: {Min: 1, Mean: 2.5, Max: 3}}}
+		ref.StageTelemetry(id, per, &trace.TimeSeries{JobID: id, IntervalSec: 0.1})
+	}
+	ingest := func(base int64, n int) {
+		ds, err := trace.ReadJSON(bytes.NewReader(batchBody(t, base, n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.AppendDataset(ds)
+	}
+	stage(3)
+	stage(1<<40 + 1)
+	ingest(0, 30)
+	ingest(1000, 30)
+	ingest(2000, 30)
+	ingest(3000, 80)
+	ingest(4000, 40)
+	stage(5004)
+	ingest(5000, 20)
+
+	if st.Seg().Len() != 230 || st.Seg().TailJobs() != 0 || st.Seg().StagedJobs() != 1 {
+		t.Fatalf("opened %d jobs, %d in the tail, %d staged; want 230, 0, 1",
+			st.Seg().Len(), st.Seg().TailJobs(), st.Seg().StagedJobs())
+	}
+	if a, b := fingerprint(t, st.Seg()), fingerprint(t, ref); a != b {
+		t.Fatal("opened store's state differs from the operations that wrote it")
+	}
+	if a, b := summaryBits(st.Seg().Summary()), summaryBits(ref.Summary()); a != b {
+		t.Fatalf("summary\n got %s\nwant %s", a, b)
+	}
+	want, err := os.ReadFile(filepath.Join(src, "figures.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := report.RenderReport(&got, core.CharacterizeSeg(st.Seg().Snapshot(), 2)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("figures differ from the recorded body (%d vs %d bytes)", got.Len(), len(want))
 	}
 }
 

@@ -47,8 +47,11 @@ type AppliedBatch struct {
 }
 
 // snapConfig mirrors trace.SegConfig with tags; recovery refuses to resume a
-// data directory under a different store geometry (summary digests are
-// geometry-dependent, so a silent config change would corrupt them).
+// data directory under a different config. DurationDays normalizes the
+// figures, so resuming under another value would silently change every
+// answer over the recovered jobs; the seal threshold and the ignored
+// MaxSegments change no answer but are held to the recorded values alike, so
+// a data directory keeps the one config it was written with.
 type snapConfig struct {
 	DurationDays float64 `json:"duration_days"`
 	SegmentJobs  int     `json:"segment_jobs"`
@@ -133,7 +136,7 @@ func writeSnapshot(dir string, snap *snapshotFile, chaos *Chaos) error {
 }
 
 // encodeSnapshot writes snap as the bytes json.NewEncoder(w).Encode(snap)
-// produces, but one field, job, series, staged entry and segment at a time
+// produces, but one field, job, series and staged entry at a time
 // through a buffered writer, so a checkpoint never holds the whole document
 // in memory. The keys and omitempty rules mirror the struct tags of
 // snapshotFile and trace.SegStoreState; the differential test pins the
@@ -170,10 +173,6 @@ func encodeSnapshot(w io.Writer, snap *snapshotFile) error {
 		if len(st.Staged) > 0 {
 			e.raw(`,"staged":`)
 			e.array(len(st.Staged), func(i int) any { return &st.Staged[i] })
-		}
-		if len(st.Segments) > 0 {
-			e.raw(`,"segments":`)
-			e.array(len(st.Segments), func(i int) any { return &st.Segments[i] })
 		}
 		e.raw("}")
 	}

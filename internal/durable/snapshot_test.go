@@ -44,25 +44,22 @@ func TestEncodeSnapshotMatchesEncodingJSON(t *testing.T) {
 		shape func(s *trace.SegStoreState) bool // the case built what it names
 	}{
 		{"empty", func(t *testing.T, st *Store) {}, func(s *trace.SegStoreState) bool {
-			return len(s.Jobs) == 0 && s.Series == nil && s.Staged == nil && s.Segments == nil
+			return len(s.Jobs) == 0 && s.Series == nil && s.Staged == nil
 		}},
 		{"series-and-staged", func(t *testing.T, st *Store) {
 			stageTelemetry(t, st, 3)       // joins the batch below: a series
 			stageTelemetry(t, st, 1<<40+1) // never arrives: stays staged
 			mustIngest(t, st, "b0", batchBody(t, 0, 20))
 		}, func(s *trace.SegStoreState) bool { return len(s.Series) == 1 && len(s.Staged) == 1 }},
-		{"sealed-and-compacted", func(t *testing.T, st *Store) {
+		{"sealed", func(t *testing.T, st *Store) {
 			for i := 0; i < 6; i++ {
 				mustIngest(t, st, fmt.Sprintf("b%d", i), batchBody(t, int64(i)*1000, 70))
 			}
 			if err := st.SealTail(); err != nil {
 				t.Fatal(err)
 			}
-			if err := st.Compact(); err != nil {
-				t.Fatal(err)
-			}
 			mustIngest(t, st, "tail", batchBody(t, 9000, 5))
-		}, func(s *trace.SegStoreState) bool { return len(s.Segments) > 1 }},
+		}, func(s *trace.SegStoreState) bool { return len(s.Jobs) == 6*70+5 }},
 		{"applied-ledger", func(t *testing.T, st *Store) {
 			// IDs needing JSON escaping, including encoding/json's HTML
 			// escapes.
@@ -84,8 +81,8 @@ func TestEncodeSnapshotMatchesEncodingJSON(t *testing.T) {
 			tc.build(t, st)
 			snap := captureSnapshot(t, st)
 			if !tc.shape(snap.State) {
-				t.Fatalf("case built the wrong shape: %d jobs, %d series, %d staged, %d segments",
-					len(snap.State.Jobs), len(snap.State.Series), len(snap.State.Staged), len(snap.State.Segments))
+				t.Fatalf("case built the wrong shape: %d jobs, %d series, %d staged",
+					len(snap.State.Jobs), len(snap.State.Series), len(snap.State.Staged))
 			}
 			if wantLedger := len(snap.State.Jobs) > 0; (len(snap.Applied) > 0) != wantLedger {
 				t.Fatalf("applied ledger has %d entries for %d jobs", len(snap.Applied), len(snap.State.Jobs))
@@ -99,7 +96,7 @@ func TestEncodeSnapshotMatchesEncodingJSON(t *testing.T) {
 	t.Run("edge-shapes", func(t *testing.T) {
 		for _, snap := range []*snapshotFile{
 			{Applied: []AppliedBatch{}, State: &trace.SegStoreState{
-				Series: []*trace.TimeSeries{}, Staged: []trace.StagedEntry{}, Segments: []trace.SegBoundary{},
+				Series: []*trace.TimeSeries{}, Staged: []trace.StagedEntry{},
 			}},
 			{State: &trace.SegStoreState{Series: []*trace.TimeSeries{nil}}},
 			{},

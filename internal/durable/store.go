@@ -109,10 +109,7 @@ func Open(dir string, cfg trace.SegConfig, opts Options) (*Store, error) {
 		if got != cfg {
 			return nil, fmt.Errorf("durable: data dir was written with config %+v, not %+v — refusing to resume", got, cfg)
 		}
-		s.seg, err = trace.RestoreSegStore(cfg, snap.State)
-		if err != nil {
-			return nil, err
-		}
+		s.seg = trace.RestoreSegStore(cfg, snap.State)
 		for _, ab := range snap.Applied {
 			s.applied[ab.ID] = Outcome{Seq: ab.Seq, Jobs: ab.Jobs}
 		}
@@ -126,6 +123,10 @@ func Open(dir string, cfg trace.SegConfig, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Recovered history is sealed, not backlog. Without this seal, the
+	// jobs past the last automatic seal (all of them under -segment-jobs
+	// -1) would count against the backpressure bound after every restart.
+	s.seg.SealTail()
 	s.w, err = openWALForAppend(dir, state.tail, state.validBytes, state.nextSeq, state.chain, opts.Sync, opts.RotateBytes, opts.Chaos)
 	if err != nil {
 		return nil, err
@@ -159,10 +160,9 @@ func (s *Store) applyRecord(rec Record) error {
 			return fmt.Errorf("durable: acked telemetry no longer decodes: %w", err)
 		}
 		s.seg.StageTelemetry(tr.JobID, tr.PerGPU, tr.Series)
-	case KindSeal:
-		s.seg.SealTail()
-	case KindCompact:
-		s.seg.Compact()
+	case KindSeal, KindCompact:
+		// Written only by older versions; no answer depends on where a
+		// store sealed.
 	default:
 		return fmt.Errorf("durable: unknown WAL record kind %d", rec.Kind)
 	}
@@ -267,35 +267,18 @@ func (s *Store) StageTelemetry(jobID int64, perGPU []metrics.MetricSummaries, ts
 	return nil
 }
 
-// SealTail logs and applies a manual tail seal. Geometry is part of
-// recovered state (summary moments are merge-order sensitive), so admin
-// operations go through the WAL like everything else.
+// SealTail seals the store's tail now: a performance hint that drains the
+// tail backlog, and the only seal under -segment-jobs -1. It is not
+// logged, because no answer depends on where a store sealed; Open seals
+// whatever recovery leaves in the tail.
 func (s *Store) SealTail() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("durable: store is closed")
 	}
-	if _, err := s.w.Append(KindSeal, nil); err != nil {
-		return err
-	}
-	s.opts.Chaos.hit("sealapply")
+	//lint:allow commitorder a seal changes no answer, so it is not logged; Open seals the recovered tail
 	s.seg.SealTail()
-	return nil
-}
-
-// Compact logs and applies a manual compaction.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("durable: store is closed")
-	}
-	if _, err := s.w.Append(KindCompact, nil); err != nil {
-		return err
-	}
-	s.opts.Chaos.hit("compactapply")
-	s.seg.Compact()
 	return nil
 }
 
@@ -384,9 +367,7 @@ func (s *Store) captureLocked() (*snapshotFile, int, error) {
 
 // Close drains the store: flush the WAL, write a final snapshot (making the
 // next Open a pure snapshot load), and close the log. It waits for a
-// checkpoint in progress. Close never compacts or seals — compaction
-// changes summary merge order, and a drain must not change any query
-// result.
+// checkpoint in progress.
 func (s *Store) Close() error {
 	s.ckpt.Lock()
 	defer s.ckpt.Unlock()
@@ -428,7 +409,8 @@ func (s *Store) Seg() *trace.SegStore { return s.seg }
 
 // Backlog returns the unsealed work the server is carrying: tail jobs not
 // yet folded into a sealed segment plus parked telemetry awaiting its join.
-// The ingest handler sheds load (HTTP 429) when this exceeds its bound.
+// The telemetry handler sheds load (HTTP 429) and /readyz reports unready
+// while this exceeds its bound.
 func (s *Store) Backlog() int {
 	return s.seg.TailJobs() + s.seg.StagedJobs()
 }

@@ -82,8 +82,8 @@ func batchBody(t *testing.T, base int64, n int) []byte {
 }
 
 // fingerprint hashes a SegStore's complete exported state — jobs in order,
-// series, staged telemetry, segment geometry and verbatim digests. Two
-// stores with equal fingerprints answer every query identically.
+// series and staged telemetry. Two stores with equal fingerprints answer
+// every query identically.
 func fingerprint(t *testing.T, st *trace.SegStore) string {
 	t.Helper()
 	b, err := json.Marshal(st.ExportState())
@@ -99,7 +99,13 @@ func figures(st *trace.SegStore) string {
 	return fmt.Sprintf("%v", *core.CharacterizeSeg(st.Snapshot(), 2))
 }
 
-var testSegCfg = trace.SegConfig{DurationDays: 7, SegmentJobs: 64, MaxSegments: 4}
+// summaryBits renders a SegSummary's exact state, unexported accumulator
+// fields included; %v prints every bit a float64 carries.
+func summaryBits(s trace.SegSummary) string {
+	return fmt.Sprintf("%v", s)
+}
+
+var testSegCfg = trace.SegConfig{DurationDays: 7, SegmentJobs: 64}
 
 func mustOpen(t *testing.T, dir string, opts Options) *Store {
 	t.Helper()
@@ -117,9 +123,13 @@ func mustIngest(t *testing.T, st *Store, id string, body []byte) {
 	}
 }
 
-// TestStoreRecoveryAcrossRestarts: a store closed and reopened repeatedly,
-// with telemetry and snapshots interleaved, must stay bit-identical to an
-// in-memory reference fed the same operations once each.
+// TestStoreRecoveryAcrossRestarts: a store restarted after every batch,
+// with telemetry, manual seals and snapshots interleaved, must stay
+// bit-identical to an in-memory reference fed the same operations once
+// each. Restarts alternate between recovering from the snapshot Close
+// writes and from the last automatic checkpoint plus the WAL written since,
+// so they cut the history at many snapshot/WAL boundaries; the summary
+// must come back bit-identical from every one.
 func TestStoreRecoveryAcrossRestarts(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Sync: true, SnapshotJobs: 150, RotateBytes: 1 << 12}
@@ -145,11 +155,21 @@ func TestStoreRecoveryAcrossRestarts(t *testing.T) {
 			}
 			ref.StageTelemetry(jobID, per, ts)
 		}
-		if i%4 == 3 {
-			if err := st.Close(); err != nil {
+		if i%3 == 1 {
+			if err := st.SealTail(); err != nil {
 				t.Fatal(err)
 			}
-			st = mustOpen(t, dir, opts)
+		}
+		closeStore := st.Close
+		if i%2 == 1 {
+			closeStore = st.CloseNoSnapshot
+		}
+		if err := closeStore(); err != nil {
+			t.Fatal(err)
+		}
+		st = mustOpen(t, dir, opts)
+		if a, b := summaryBits(st.Seg().Summary()), summaryBits(ref.Summary()); a != b {
+			t.Fatalf("restart %d: summary\n got %s\nwant %s", i, a, b)
 		}
 	}
 	if a, b := fingerprint(t, st.Seg()), fingerprint(t, ref); a != b {
@@ -295,66 +315,70 @@ func TestStoreChaosKillMatrix(t *testing.T) {
 	}
 }
 
-// TestStoreChaosAdminOps: deaths between logging and applying a seal or
-// compaction. The operation committed (it reached the WAL), so recovery
-// must apply it — geometry is recovered state.
+// TestStoreChaosAdminOps: a seal is not logged, so no failpoint sits
+// between logging and applying it (ParseChaos rejects the old sealapply
+// spec) and the WAL holds no seal record. A death at the first commit after
+// a seal must recover the uninterrupted reference's state and summary.
 func TestStoreChaosAdminOps(t *testing.T) {
-	for _, op := range []string{"sealapply", "compactapply"} {
-		t.Run(op, func(t *testing.T) {
-			dir := t.TempDir()
-			opts := Options{Sync: true}
-			armed := opts
-			armed.Chaos = testChaos(t, op+":1")
-			st := mustOpen(t, dir, armed)
-			ref := trace.NewSegStore(testSegCfg)
-			for i := 0; i < 3; i++ {
-				body := batchBody(t, int64(i)*1000, 50)
-				if _, _, err := st.IngestBatch(fmt.Sprintf("b%d", i), body); err != nil {
-					t.Fatal(err)
-				}
-				ds, err := trace.ReadJSON(bytes.NewReader(body))
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref.AppendDataset(ds)
-			}
-			died := func() (died bool) {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(chaosDeath); !ok {
-							panic(r)
-						}
-						died = true
-					}
-				}()
-				var err error
-				if op == "sealapply" {
-					err = st.SealTail()
-				} else {
-					err = st.Compact()
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				return false
-			}()
-			if !died {
-				t.Fatalf("%s failpoint never fired", op)
-			}
-			if op == "sealapply" {
-				ref.SealTail()
-			} else {
-				ref.Compact()
-			}
-			st = mustOpen(t, dir, opts)
-			if a, b := fingerprint(t, st.Seg()), fingerprint(t, ref); a != b {
-				t.Fatalf("%s: recovered geometry diverged from reference", op)
-			}
-			if err := st.Close(); err != nil {
+	t.Run("sealapply", func(t *testing.T) {
+		if _, err := ParseChaos("sealapply:1"); err == nil {
+			t.Fatal("ParseChaos accepted the sealapply failpoint")
+		}
+		dir := t.TempDir()
+		opts := Options{Sync: true}
+		armed := opts
+		armed.Chaos = testChaos(t, "apply:4")
+		st := mustOpen(t, dir, armed)
+		ref := trace.NewSegStore(testSegCfg)
+		bodies := make([][]byte, 4)
+		for i := range bodies {
+			bodies[i] = batchBody(t, int64(i)*1000, 50)
+			ds, err := trace.ReadJSON(bytes.NewReader(bodies[i]))
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-	}
+			ref.AppendDataset(ds)
+		}
+		for i, body := range bodies[:3] {
+			mustIngest(t, st, fmt.Sprintf("b%d", i), body)
+		}
+		if err := st.SealTail(); err != nil {
+			t.Fatal(err)
+		}
+		died := func() (died bool) {
+			defer func() {
+				if r := recover(); r != nil {
+					if _, ok := r.(chaosDeath); !ok {
+						panic(r)
+					}
+					died = true
+				}
+			}()
+			st.IngestBatch("b3", bodies[3])
+			return false
+		}()
+		if !died {
+			t.Fatal("apply failpoint never fired")
+		}
+		st = mustOpen(t, dir, opts)
+		if a, b := fingerprint(t, st.Seg()), fingerprint(t, ref); a != b {
+			t.Fatal("recovered state diverged from reference")
+		}
+		if a, b := summaryBits(st.Seg().Summary()), summaryBits(ref.Summary()); a != b {
+			t.Fatalf("recovered summary\n got %s\nwant %s", a, b)
+		}
+		if err := st.CloseNoSnapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := replayWAL(dir, 0, Chain{}, func(rec Record) error {
+			if rec.Kind != KindBatch {
+				return fmt.Errorf("WAL record %d has kind %d, want only batches", rec.Seq, rec.Kind)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestStoreSnapshotFallback: recovery must survive the newest snapshot
@@ -575,7 +599,8 @@ func TestStoreIngestDuringCheckpointWrite(t *testing.T) {
 // TestStoreConcurrentOps runs ingest, telemetry, forced snapshots, seals and
 // automatic checkpoints from several goroutines at once (run it under
 // -race). The live store and the reopened one must both equal a reference
-// fed the same operations in WAL-sequence order.
+// fed the same operations in WAL-sequence order, and the WAL must hold no
+// seal record: seals are not logged.
 func TestStoreConcurrentOps(t *testing.T) {
 	dir := t.TempDir()
 	// One WAL file for the whole run, so the complete sequence order is
@@ -660,7 +685,7 @@ func TestStoreConcurrentOps(t *testing.T) {
 
 	// Rebuild the reference from the test's own inputs, ordered by the WAL.
 	ref := trace.NewSegStore(testSegCfg)
-	seenBatches, seenTel, seenSeals := map[string]bool{}, map[int64]bool{}, 0
+	seenBatches, seenTel := map[string]bool{}, map[int64]bool{}
 	_, err := replayWAL(dir, 0, Chain{}, func(rec Record) error {
 		switch rec.Kind {
 		case KindBatch:
@@ -688,9 +713,6 @@ func TestStoreConcurrentOps(t *testing.T) {
 			}
 			seenTel[tr.JobID] = true
 			ref.StageTelemetry(tr.JobID, in.per, in.ts)
-		case KindSeal:
-			seenSeals++
-			ref.SealTail()
 		default:
 			return fmt.Errorf("unexpected record kind %d", rec.Kind)
 		}
@@ -699,9 +721,9 @@ func TestStoreConcurrentOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seenBatches) != len(bodies) || len(seenTel) != len(telemetry) || seenSeals != seals {
-		t.Fatalf("WAL holds %d/%d batches, %d/%d telemetry, %d/%d seals",
-			len(seenBatches), len(bodies), len(seenTel), len(telemetry), seenSeals, seals)
+	if len(seenBatches) != len(bodies) || len(seenTel) != len(telemetry) {
+		t.Fatalf("WAL holds %d/%d batches, %d/%d telemetry",
+			len(seenBatches), len(bodies), len(seenTel), len(telemetry))
 	}
 	want := fingerprint(t, ref)
 	if live != want {

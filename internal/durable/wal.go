@@ -43,9 +43,9 @@ const (
 	// KindTelemetry is one staged monitoring-epilog record (the §II join's
 	// nvidia-smi side arriving before its Slurm side).
 	KindTelemetry byte = 2
-	// KindSeal and KindCompact are the admin operations; logging them makes
-	// manual segment geometry survive restarts (summary moments are
-	// merge-order sensitive, so geometry is part of recovered state).
+	// KindSeal and KindCompact are no longer written: no answer depends on
+	// where a store sealed. Older logs still hold them, and replay skips
+	// them.
 	KindSeal    byte = 3
 	KindCompact byte = 4
 )

@@ -91,61 +91,3 @@ func (s *Streaming) Max() float64 {
 	}
 	return s.max
 }
-
-// Merge folds another accumulator into this one (parallel variance merge by
-// Chan et al.), letting per-node accumulators combine in the epilog.
-func (s *Streaming) Merge(o *Streaming) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	delta := o.mean - s.mean
-	total := float64(s.n + o.n)
-	s.m2 += o.m2 + delta*delta*float64(s.n)*float64(o.n)/total
-	s.mean += delta * float64(o.n) / total
-	s.sum += o.sum
-	s.n += o.n
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-}
-
-// StreamingState is the exact wire form of a Streaming accumulator: every
-// internal field, bit for bit. A snapshot/restore cycle through it yields an
-// accumulator whose future Adds and Merges produce byte-identical results —
-// the property the durable store's recovery contract rests on. All fields
-// are finite for any accumulator built from finite observations, so the
-// state is JSON-safe.
-type StreamingState struct {
-	N          int     `json:"n"`
-	Mean       float64 `json:"mean"`
-	M2         float64 `json:"m2"`
-	Min        float64 `json:"min"`
-	Max        float64 `json:"max"`
-	Sum        float64 `json:"sum"`
-	HasSamples bool    `json:"has_samples,omitempty"`
-}
-
-// State exports the accumulator's internal state.
-func (s *Streaming) State() StreamingState {
-	return StreamingState{
-		N: s.n, Mean: s.mean, M2: s.m2,
-		Min: s.min, Max: s.max, Sum: s.sum,
-		HasSamples: s.hasSamples,
-	}
-}
-
-// FromState reconstructs the accumulator an earlier State call exported.
-func FromState(st StreamingState) Streaming {
-	return Streaming{
-		n: st.N, mean: st.Mean, m2: st.M2,
-		min: st.Min, max: st.Max, sum: st.Sum,
-		hasSamples: st.HasSamples,
-	}
-}

@@ -37,6 +37,31 @@ func TestStreamingEmpty(t *testing.T) {
 	}
 }
 
+// Merge folds another accumulator into this one (parallel variance merge by
+// Chan et al.). Production folds every digest in one pass; the tests merge
+// split halves to check the moments against a sequential fold.
+func (s *Streaming) Merge(o *Streaming) {
+	if o.n == 0 {
+		return
+	}
+	if s.n == 0 {
+		*s = *o
+		return
+	}
+	delta := o.mean - s.mean
+	total := float64(s.n + o.n)
+	s.m2 += o.m2 + delta*delta*float64(s.n)*float64(o.n)/total
+	s.mean += delta * float64(o.n) / total
+	s.sum += o.sum
+	s.n += o.n
+	if o.min < s.min {
+		s.min = o.min
+	}
+	if o.max > s.max {
+		s.max = o.max
+	}
+}
+
 func TestStreamingMerge(t *testing.T) {
 	xs := []float64{1, 5, 2, 8, 3, 9, 4, 4, 7}
 	var whole, left, right Streaming

@@ -19,8 +19,8 @@ import (
 // its projection as it arrives; a Snapshot is the projection's Columns over
 // full-slice-expression views of the append-only arrays, O(1) per column and
 // immutable as the store keeps appending. It is byte-identical to what
-// BuildColumns would produce over the same job sequence, for ANY seal or
-// compaction schedule:
+// BuildColumns would produce over the same job sequence, for ANY seal
+// schedule:
 //
 //   - dataset-order vectors are the same physical elements, so every
 //     sequential (Welford, sum) figure scan folds the identical float
@@ -29,17 +29,15 @@ import (
 //     sort of the small tail, and merging ascending runs of a multiset
 //     yields the same ascending array as sorting the whole — without
 //     re-sorting sealed data ever again;
-//   - the per-user and per-GPU-count folds and the grouped columns'
-//     counters accumulate job by job in append order, exactly as
-//     BuildColumns accumulates them, and a snapshot copies them.
+//   - the per-user and per-GPU-count folds, the grouped columns' counters
+//     and the Summary digest accumulate job by job in append order, exactly
+//     as BuildColumns accumulates them, and a snapshot copies them.
 //
 // Sealing freezes the tail: the appender that sealed it sorts its run off
-// the lock, the next snapshot folds it into the sealed-prefix merge cascade
-// (sealedMerge), and a segment records only its job bounds and a mergeable
-// SegSummary digest. The digests answer live summary queries in
-// O(segments); they merge in segment-index order, so they are
-// deterministic for a given seal/compaction schedule but — unlike the
-// figures — not invariant across schedules (float merge order differs).
+// the lock, and the next snapshot folds it into the sealed-prefix merge
+// cascade (sealedMerge). A seal changes no answer — figures and Summary
+// are functions of the job sequence alone — so where a store sealed is a
+// performance detail that neither the WAL nor a snapshot records.
 
 // jobChunkSize is the slab size of the job arena. Chunks are allocated at
 // full capacity and never grow, so *JobRecord pointers handed to column
@@ -57,18 +55,14 @@ type SegConfig struct {
 	// reaches this many jobs; 0 means DefaultSegmentJobs, negative disables
 	// automatic sealing (SealTail only).
 	SegmentJobs int
-	// MaxSegments, when positive, bounds the sealed-segment count: when a
-	// seal pushes past it, adjacent segments are pairwise compacted
-	// (halving the count), keeping segment metadata and Summary's
-	// O(segments) digest fold O(MaxSegments). Queries read the sealed-prefix
-	// merge cascade whatever the count, so it does not affect figures.
+	// MaxSegments is ignored. It is kept only so that existing command
+	// lines (simcloudd -max-segments) and the benchmark harness still parse.
 	MaxSegments int
 }
 
-// SegSummary is one segment's (or the whole store's) mergeable digest:
-// counts plus streaming moments of the headline columns. It merges via
-// stats.Streaming's parallel-variance merge; merge in segment-index order
-// for deterministic results.
+// SegSummary is the store's live digest: counts plus streaming moments of
+// the headline columns, folded job by job in append order, so it depends on
+// the job sequence alone.
 type SegSummary struct {
 	Jobs     int // all appended jobs, before any filter
 	GPUJobs  int // analysis population (GPU, RunSec >= MinGPUJobRunSec)
@@ -82,7 +76,7 @@ type SegSummary struct {
 	MeanUtil [metrics.NumMetrics]stats.Streaming
 }
 
-// add folds one analysis-population GPU job (resp. CPU job) into the digest.
+// addGPU folds one analysis-population GPU job into the digest.
 func (s *SegSummary) addGPU(j *JobRecord, hours float64) {
 	s.GPUJobs++
 	if j.NumGPUs >= 2 {
@@ -94,28 +88,6 @@ func (s *SegSummary) addGPU(j *JobRecord, hours float64) {
 	for m := metrics.Metric(0); m < metrics.NumMetrics; m++ {
 		s.MeanUtil[m].Add(j.GPU[m].Mean)
 	}
-}
-
-// Merge folds o after s. Call in segment-index order.
-func (s *SegSummary) Merge(o *SegSummary) {
-	s.Jobs += o.Jobs
-	s.GPUJobs += o.GPUJobs
-	s.CPUJobs += o.CPUJobs
-	s.MultiGPU += o.MultiGPU
-	s.GPUHours.Merge(&o.GPUHours)
-	s.WaitSec.Merge(&o.WaitSec)
-	s.RunMin.Merge(&o.RunMin)
-	for m := range s.MeanUtil {
-		s.MeanUtil[m].Merge(&o.MeanUtil[m])
-	}
-}
-
-// segment is one immutable sealed window of the store: its job bounds and
-// digest. Its column data lives in the store's projection and its sorted
-// run in the sealed-prefix merge cascade.
-type segment struct {
-	startJob, endJob int // [start,end) in appended-job order
-	agg              SegSummary
 }
 
 // SegStore is the append-only segmented columnar store. The zero value is
@@ -139,19 +111,20 @@ type SegStore struct {
 	chunks [][]JobRecord // guarded by mu
 	nJobs  int           // guarded by mu
 
-	sealed  []*segment // guarded by mu
-	tailJob int        // guarded by mu
-	tailAgg SegSummary // guarded by mu
+	// sum is the Summary digest, folded at every append.
+	sum SegSummary // guarded by mu
+
+	seals   int // guarded by mu; sealed-segment count
+	tailJob int // guarded by mu; jobs appended before the last seal
 
 	// sealedMerge[c] is a prefix of column c, proj.f[c][:N()], as a lazily
 	// sorted view (nil before the first seal), and sealedRuns[c] the runs
 	// of the segments sealed after it, through proj.f[c][:sealedEnd[c]].
 	// A seal only adds its run; the next Snapshot folds the waiting runs
 	// into a new sealedMerge that merges them with each other and then
-	// with the old prefix once, on first use. Compaction reshapes the
-	// segments but not the multiset, so the cascade survives it. Queries
-	// therefore pay one tail sort plus one pass over the prefix per
-	// column, however many segments were sealed since the last query.
+	// with the old prefix once, on first use. Queries therefore pay one
+	// tail sort plus one pass over the prefix per column, however many
+	// segments were sealed since the last query.
 	sealedMerge [numFloatCols]*FloatColumn   // guarded by mu
 	sealedRuns  [numFloatCols][]*FloatColumn // guarded by mu
 	sealedEnd   [numFloatCols]int            // guarded by mu
@@ -171,9 +144,9 @@ type stagedTelemetry struct {
 }
 
 // SegView is an immutable snapshot of the store: a fully functional Columns
-// over everything appended before the snapshot, plus the segment geometry
-// behind it. Safe for concurrent use and never invalidated — a view taken
-// before an append simply does not see it.
+// over everything appended before the snapshot, plus the seal count and
+// tail size behind it. Safe for concurrent use and never invalidated — a
+// view taken before an append simply does not see it.
 type SegView struct {
 	// Cols is the stitched columnar projection; every Columns consumer
 	// (core figures, engine samples) works on it unchanged.
@@ -330,12 +303,12 @@ func (st *SegStore) appendLocked(j JobRecord) {
 	st.nJobs++
 	st.gen++
 	st.snap = nil
-	st.tailAgg.Jobs++
+	st.sum.Jobs++
 	switch {
 	case st.proj.add(jp):
-		st.tailAgg.addGPU(jp, jp.GPUHours())
+		st.sum.addGPU(jp, jp.GPUHours())
 	case !jp.IsGPU():
-		st.tailAgg.CPUJobs++
+		st.sum.CPUJobs++
 	}
 }
 
@@ -358,25 +331,15 @@ func (st *SegStore) SealTail() {
 	sortRuns(sealed)
 }
 
+// sealLocked freezes the tail: it queues each column's run since the last
+// seal for sorting and for the next snapshot's sealed-prefix merge. The
+// memoized view goes, because it reports the seal count and tail size.
 func (st *SegStore) sealLocked() {
 	if st.nJobs == st.tailJob {
 		return
 	}
-	st.sealSegmentLocked(st.tailAgg)
-	if st.cfg.MaxSegments > 0 && len(st.sealed) > st.cfg.MaxSegments {
-		st.compactLocked()
-	}
-}
-
-// sealSegmentLocked freezes the tail into a segment carrying agg as its
-// digest. The live path passes the accumulated tail digest; snapshot restore
-// passes the recorded one, which may be a Merge-shaped aggregate from a
-// compaction the original store performed (re-folding the jobs would differ
-// in final ulps — the recorded floats are the ground truth).
-func (st *SegStore) sealSegmentLocked(agg SegSummary) {
-	st.sealed = append(st.sealed, &segment{startJob: st.tailJob, endJob: st.nJobs, agg: agg})
+	st.seals++
 	st.tailJob = st.nJobs
-	st.tailAgg = SegSummary{}
 	for c, vals := range st.proj.f {
 		end := len(vals)
 		run := NewFloatColumn(vals[st.sealedEnd[c]:end:end])
@@ -384,6 +347,8 @@ func (st *SegStore) sealSegmentLocked(agg SegSummary) {
 		st.unsorted = append(st.unsorted, run)
 		st.sealedEnd[c] = end
 	}
+	st.gen++
+	st.snap = nil
 }
 
 // foldSealedRunsLocked folds each column's waiting sealed runs into its
@@ -421,54 +386,12 @@ func (st *SegStore) foldSealedRunsLocked() {
 	}
 }
 
-// Compact pairwise-merges adjacent sealed segments, halving the segment
-// count: the segment metadata and Summary's O(segments) digest fold stay
-// bounded. Figure results are unaffected (queries read the sealed-prefix
-// merge, which compaction leaves alone; the property test pins this);
-// SegSummary moments change merge association and so may differ in final
-// ulps from an unsealed run.
-func (st *SegStore) Compact() {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.compactLocked()
-}
-
-func (st *SegStore) compactLocked() {
-	if len(st.sealed) < 2 {
-		return
-	}
-	merged := make([]*segment, 0, (len(st.sealed)+1)/2)
-	for i := 0; i+1 < len(st.sealed); i += 2 {
-		merged = append(merged, mergeSegments(st.sealed[i], st.sealed[i+1]))
-	}
-	if len(st.sealed)%2 == 1 {
-		merged = append(merged, st.sealed[len(st.sealed)-1])
-	}
-	st.sealed = merged
-	st.gen++
-	st.snap = nil
-}
-
-// mergeSegments combines two adjacent segments into one: the union of their
-// bounds and a's digest merged with b's.
-func mergeSegments(a, b *segment) *segment {
-	out := &segment{startJob: a.startJob, endJob: b.endJob, agg: a.agg}
-	out.agg.Merge(&b.agg)
-	return out
-}
-
-// Summary merges the per-segment digests (in segment-index order) with the
-// tail digest: the O(segments) live answer for dashboards. Deterministic
-// for a given seal/compaction schedule.
+// Summary returns the store's digest, folded job by job in append order:
+// O(1), and the same for any seal schedule and after a restore.
 func (st *SegStore) Summary() SegSummary {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var out SegSummary
-	for _, seg := range st.sealed {
-		out.Merge(&seg.agg)
-	}
-	out.Merge(&st.tailAgg)
-	return out
+	return st.sum
 }
 
 // Len returns the number of appended jobs.
@@ -482,7 +405,7 @@ func (st *SegStore) Len() int {
 func (st *SegStore) Segments() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return len(st.sealed)
+	return st.seals
 }
 
 // TailJobs returns the number of jobs appended since the last seal — the
@@ -490,10 +413,7 @@ func (st *SegStore) Segments() int {
 func (st *SegStore) TailJobs() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if n := len(st.sealed); n > 0 {
-		return st.nJobs - st.sealed[n-1].endJob
-	}
-	return st.nJobs
+	return st.nJobs - st.tailJob
 }
 
 // Snapshot returns an immutable view of everything appended so far. The
@@ -525,7 +445,7 @@ func (st *SegStore) Snapshot() *SegView {
 	st.snap = &SegView{
 		Cols:     c,
 		NJobs:    st.nJobs,
-		Segments: len(st.sealed),
+		Segments: st.seals,
 		TailJobs: st.nJobs - st.tailJob,
 		Gen:      st.gen,
 	}

@@ -4,7 +4,7 @@ package trace_test
 // ISSUE 8 acceptance bar: a SegStore snapshot must be BIT-identical to
 // BuildColumns over the same job sequence — same dataset-order float
 // vectors, same sorted views, same grouping indexes, same accumulated
-// totals — for ANY seal/compaction schedule. The tests compare float
+// totals — for ANY seal schedule. The tests compare float
 // payloads through math.Float64bits so an exact-zero-sign or ulp drift
 // fails loudly rather than slipping under an epsilon.
 
@@ -161,10 +161,13 @@ func TestSegStoreSnapshotMatchesBuildColumns(t *testing.T) {
 }
 
 // TestSegStoreRandomSchedules is the property test proper: randomized
-// interleavings of append / seal / compact / snapshot, with snapshots taken
-// at arbitrary prefixes compared against BuildColumns over the same prefix.
+// interleavings of append / seal / snapshot, with snapshots taken at
+// arbitrary prefixes compared against BuildColumns over the same prefix.
 // Earlier snapshots are re-checked at the end to prove immutability under
-// later appends and compactions.
+// later appends and seals. Beside the drawn store, stores sealing every 1,
+// 7 and 4096 jobs and one sealing only manually follow the same schedule;
+// at every snapshot point each Summary must be bit-identical to that of a
+// store that never sealed.
 func TestSegStoreRandomSchedules(t *testing.T) {
 	ds := segJobs(t, 0.05, 23)
 	for trial := 0; trial < 8; trial++ {
@@ -175,10 +178,28 @@ func TestSegStoreRandomSchedules(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				cfg.SegmentJobs = 1 + rng.Intn(200)
 			}
+			// MaxSegments is ignored; the draw stays so that each trial
+			// keeps its schedule.
 			if rng.Intn(2) == 0 {
 				cfg.MaxSegments = 1 + rng.Intn(6)
 			}
 			st := trace.NewSegStore(cfg)
+			sealing := []*trace.SegStore{st}
+			for _, n := range []int{1, 7, 4096, -1} {
+				sealing = append(sealing, trace.NewSegStore(trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: n}))
+			}
+			never := trace.NewSegStore(trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: -1})
+			all := append(sealing[:len(sealing):len(sealing)], never)
+			checkSummaries := func() {
+				t.Helper()
+				want := summaryBits(never.Summary())
+				for k, o := range sealing {
+					if got := summaryBits(o.Summary()); got != want {
+						t.Fatalf("store %d (%d segments) at %d jobs: summary differs from a never-sealed store's:\n got %s\nwant %s",
+							k, o.Segments(), o.Len(), got, want)
+					}
+				}
+			}
 			type taken struct {
 				view  *trace.SegView
 				nJobs int
@@ -187,19 +208,22 @@ func TestSegStoreRandomSchedules(t *testing.T) {
 			i := 0
 			for i < len(ds.Jobs) {
 				switch rng.Intn(10) {
-				case 0:
-					st.SealTail()
-				case 1:
-					st.Compact()
+				case 0, 1:
+					for _, o := range sealing {
+						o.SealTail()
+					}
 				case 2:
 					n := st.Len()
 					views = append(views, taken{st.Snapshot(), n})
+					checkSummaries()
 				default:
 					batch := 1 + rng.Intn(97)
 					if i+batch > len(ds.Jobs) {
 						batch = len(ds.Jobs) - i
 					}
-					st.AppendBatch(ds.Jobs[i : i+batch])
+					for _, o := range all {
+						o.AppendBatch(ds.Jobs[i : i+batch])
+					}
 					i += batch
 				}
 			}
@@ -207,10 +231,10 @@ func TestSegStoreRandomSchedules(t *testing.T) {
 				st.AttachSeries(ds.Series[id])
 			}
 			views = append(views, taken{st.Snapshot(), st.Len()})
-			// One more destructive round after the final snapshot: earlier
-			// views must not see it.
+			checkSummaries()
+			// One more seal after the final snapshot: earlier views must
+			// not see it.
 			st.SealTail()
-			st.Compact()
 
 			for vi, v := range views {
 				prefix := &trace.Dataset{Jobs: ds.Jobs[:v.nJobs], DurationDays: ds.DurationDays}
@@ -222,6 +246,28 @@ func TestSegStoreRandomSchedules(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestSegStoreSealRefreshesView: a seal changes the segment count and tail
+// size a view reports, so the next Snapshot must not return the memoized
+// view from before it; the earlier view itself stays as it was.
+func TestSegStoreSealRefreshesView(t *testing.T) {
+	ds := segJobs(t, 0.01, 5)
+	st := trace.NewSegStore(trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: -1})
+	st.AppendBatch(ds.Jobs[:10])
+	before := st.Snapshot()
+	st.SealTail()
+	after := st.Snapshot()
+	if after.Segments != 1 || after.TailJobs != 0 || after.Gen <= before.Gen {
+		t.Fatalf("view after the seal: %d segments, %d tail jobs, gen %d (gen %d before); want 1, 0, later",
+			after.Segments, after.TailJobs, after.Gen, before.Gen)
+	}
+	if st.Segments() != after.Segments || st.TailJobs() != after.TailJobs {
+		t.Fatalf("store reads %d/%d, its view %d/%d", st.Segments(), st.TailJobs(), after.Segments, after.TailJobs)
+	}
+	if before.Segments != 0 || before.TailJobs != 10 {
+		t.Fatalf("view before the seal changed to %d/%d", before.Segments, before.TailJobs)
 	}
 }
 
@@ -238,7 +284,7 @@ func sortedKeys(m map[int64]*trace.TimeSeries) []int64 {
 	return out
 }
 
-// TestSegStoreConcurrentSorted materializes a compacted snapshot's sorted
+// TestSegStoreConcurrentSorted materializes a sealed snapshot's sorted
 // views from several goroutines at once, each walking the columns in a
 // different order: every column's merge of the sealed-prefix cascade and
 // the tail must come out bit-identical to BuildColumns at any worker count.
@@ -249,7 +295,6 @@ func TestSegStoreConcurrentSorted(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			st := trace.NewSegStore(trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: 111})
 			st.AppendDataset(ds)
-			st.Compact()
 			v := st.Snapshot()
 			if v.Segments == 0 || v.TailJobs == 0 {
 				t.Fatalf("want sealed segments and a tail, got %d/%d", v.Segments, v.TailJobs)
@@ -284,13 +329,12 @@ func TestSegStoreConcurrentSorted(t *testing.T) {
 	}
 }
 
-// TestSegStoreSummary checks the O(segments) digest against the population
-// ground truth. The moments merge in segment order (Chan et al.), so means
-// are compared to the exact population mean within float tolerance — the
-// digest is documented as schedule-deterministic, not schedule-invariant.
+// TestSegStoreSummary checks the digest against the population ground
+// truth. Welford's running mean is not the sum-then-divide mean, so means
+// are compared within float tolerance.
 func TestSegStoreSummary(t *testing.T) {
 	ds := segJobs(t, 0.05, 31)
-	st := trace.NewSegStore(trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: 100, MaxSegments: 4})
+	st := trace.NewSegStore(trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: 100})
 	st.AppendDataset(ds)
 	cols := trace.BuildColumns(ds)
 	sum := st.Summary()
@@ -366,7 +410,7 @@ func TestSegStoreStageTelemetry(t *testing.T) {
 // contract; without -race it still checks monotonic visibility.
 func TestSegStoreConcurrentAppendQuery(t *testing.T) {
 	ds := segJobs(t, 0.05, 41)
-	st := trace.NewSegStore(trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: 64, MaxSegments: 8})
+	st := trace.NewSegStore(trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: 64})
 
 	var wg sync.WaitGroup
 	wg.Add(1)
