@@ -60,8 +60,12 @@ chaos:
 # Short fuzz session over every trace codec target (FuzzReadJSONMatchesSpec
 # holds the hand-written JSON reader to its encoding/json spec), the whole replay
 # pipeline (decode → replay → simulate → characterize → render), plus the
-# calendar event queue cross-checked against the heap spec (PR 6) and the P²
-# quantile estimator's invariants under arbitrary small/tied samples (PR 7).
+# calendar event queue cross-checked against the heap spec, the P²
+# quantile estimator's invariants under arbitrary small/tied samples,
+# and the durable store's WAL record and format-2 snapshot readers.
+# FuzzReadSnapshot's minimization is capped at 5 s per input: minimizing a
+# kilobyte-sized snapshot tries O(n²) byte-range cuts and would otherwise
+# spend the whole 30 s on the first interesting input.
 fuzz:
 	$(GO) test . -fuzz FuzzPipeline -fuzztime 30s
 	$(GO) test ./internal/trace -fuzz FuzzReadCSV -fuzztime 30s
@@ -71,6 +75,7 @@ fuzz:
 	$(GO) test ./internal/slurm -fuzz FuzzCalQueue -fuzztime 30s
 	$(GO) test ./internal/predict -fuzz FuzzP2Quantile -fuzztime 30s
 	$(GO) test ./internal/durable -fuzz FuzzWALRecord -fuzztime 30s
+	$(GO) test ./internal/durable -fuzz FuzzReadSnapshot -fuzztime 30s -fuzzminimizetime 5s
 
 # The repository's benchmark (BENCHMARK.json, _perfbench/README.md): every
 # workload once at seed 1, 10 s of work each, one JSON result line per

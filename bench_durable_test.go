@@ -14,7 +14,9 @@ package repro
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/durable"
@@ -93,54 +95,101 @@ func BenchmarkDurableIngest(b *testing.B) {
 	}
 }
 
+// durableStore ingests ds into a fresh store in dir, in streamBatch-job
+// batches, outside the timed region.
+func durableStore(b *testing.B, dir string, ds *trace.Dataset, cfg trace.SegConfig) *durable.Store {
+	b.Helper()
+	st, err := durable.Open(dir, cfg, durable.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for k, body := range durableBatches(b, ds, streamBatch) {
+		if _, _, err := st.IngestBatch(fmt.Sprintf("b%d", k), body); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return st
+}
+
 // BenchmarkDurableRecover times Open on a data dir left behind by the
 // wal=sync run shape: how long a crashed server takes to come back. Sweeps
 // snapshot cadence — recovery from a fresh snapshot vs. a pure WAL replay.
 func BenchmarkDurableRecover(b *testing.B) {
-	ds := charDataset(b, 10_000)
-	bodies := durableBatches(b, ds, streamBatch)
-	cfg := trace.SegConfig{DurationDays: ds.DurationDays}
+	for _, sz := range streamSizes {
+		ds := charDataset(b, sz.jobs)
+		cfg := trace.SegConfig{DurationDays: ds.DurationDays}
 
-	for _, cad := range []struct {
-		name     string
-		snapshot bool
-	}{{"replay=wal", false}, {"replay=snapshot", true}} {
-		b.Run(cad.name, func(b *testing.B) {
-			dir := b.TempDir()
-			st, err := durable.Open(dir, cfg, durable.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for k, body := range bodies {
-				if _, _, err := st.IngestBatch(fmt.Sprintf("b%d", k), body); err != nil {
+		for _, cad := range []struct {
+			name     string
+			snapshot bool
+		}{{"replay=wal", false}, {"replay=snapshot", true}} {
+			b.Run(fmt.Sprintf("%s/%s", cad.name, sz.name), func(b *testing.B) {
+				dir := b.TempDir()
+				st := durableStore(b, dir, ds, cfg)
+				if cad.snapshot {
+					if err := st.Snapshot(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				// Simulate a crash: close the log with no final checkpoint,
+				// so replay=wal pays the full log and replay=snapshot loads
+				// the checkpoint with an empty suffix.
+				if err := st.CloseNoSnapshot(); err != nil {
 					b.Fatal(err)
 				}
-			}
-			if cad.snapshot {
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					st2, err := durable.Open(dir, cfg, durable.Options{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if st2.Seg().Len() != len(ds.Jobs) {
+						b.Fatalf("recovered %d jobs, want %d", st2.Seg().Len(), len(ds.Jobs))
+					}
+					if err := st2.CloseNoSnapshot(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(b.N*len(ds.Jobs)), "µs/job")
+			})
+		}
+	}
+}
+
+// BenchmarkDurableCheckpoint times one checkpoint (Store.Snapshot) of a
+// store holding every job of the dataset: capture under the commit lock,
+// encode, fsync, rename and prune. Each iteration writes a full snapshot,
+// as the first checkpoint after a restart does.
+func BenchmarkDurableCheckpoint(b *testing.B) {
+	for _, sz := range streamSizes {
+		ds := charDataset(b, sz.jobs)
+		cfg := trace.SegConfig{DurationDays: ds.DurationDays}
+		b.Run(sz.name, func(b *testing.B) {
+			dir := b.TempDir()
+			st := durableStore(b, dir, ds, cfg)
+			defer st.CloseNoSnapshot()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if err := st.Snapshot(); err != nil {
 					b.Fatal(err)
 				}
 			}
-			// Simulate a crash: close the log with no final checkpoint, so
-			// replay=wal pays the full log and replay=snapshot loads the
-			// checkpoint with an empty suffix.
-			if err := st.CloseNoSnapshot(); err != nil {
+			b.StopTimer()
+			b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(b.N*len(ds.Jobs)), "µs/job")
+			ents, err := os.ReadDir(dir)
+			if err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st2, err := durable.Open(dir, cfg, durable.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if st2.Seg().Len() != len(ds.Jobs) {
-					b.Fatalf("recovered %d jobs, want %d", st2.Seg().Len(), len(ds.Jobs))
-				}
-				if err := st2.CloseNoSnapshot(); err != nil {
-					b.Fatal(err)
+			for _, e := range ents {
+				if strings.HasPrefix(e.Name(), "snap-") {
+					fi, err := e.Info()
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportMetric(float64(fi.Size())/float64(len(ds.Jobs)), "B/job")
+					break
 				}
 			}
-			b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(b.N*len(ds.Jobs)), "µs/job")
 		})
 	}
 }

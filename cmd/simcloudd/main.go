@@ -52,7 +52,7 @@
 //	                    drains the backlog, not logged)
 //	POST /v1/snapshot   checkpoint now (admin)
 //	GET  /healthz       liveness: 200 while the process serves
-//	GET  /readyz        readiness: 503 while draining or shedding load
+//	GET  /readyz        readiness: 503 while draining or shedding ingest
 //
 // On SIGTERM/SIGINT the server drains: stops accepting work, finishes
 // in-flight requests, flushes the WAL, writes a final snapshot and exits.
@@ -509,12 +509,17 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
+// handleReadyz reports whether the server would admit an ingest now: not
+// draining, and the unsealed tail within -backlog-max, the test admitWrite
+// applies to /v1/ingest. Staged telemetry does not count, because it
+// drains only when its job is ingested: telemetry for a job that never
+// arrives would otherwise hold the server unready for good.
 func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
-	backlog := s.store.Backlog()
+	backlog := s.store.Seg().TailJobs()
 	if s.cfg.backlogMax > 0 && backlog > s.cfg.backlogMax {
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, fmt.Sprintf("backlog %d exceeds bound %d", backlog, s.cfg.backlogMax),

@@ -525,6 +525,60 @@ func TestServerStagedTelemetryDoesNotWedgeIngest(t *testing.T) {
 	}
 }
 
+// TestServerReadyzIgnoresStagedTelemetry: readiness applies ingest's
+// admission test, the unsealed tail alone. Telemetry staged for jobs that
+// never arrive fills the whole backlog past -backlog-max; the server must
+// stay ready and keep admitting ingest, while telemetry itself is shed.
+func TestServerReadyzIgnoresStagedTelemetry(t *testing.T) {
+	ds := testDataset(t, 0.005, 31)
+	const backlogMax = 5
+	srv := newTestServer(t, t.TempDir(),
+		trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: 4},
+		serverConfig{workers: 1, backlogMax: backlogMax}, durable.Options{})
+	ts := httptest.NewServer(srv.mux())
+	defer ts.Close()
+
+	stage := func(jobID int64) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/telemetry", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"job_id": %d}`, jobID)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// Job IDs far past the dataset's: these jobs never arrive.
+	for k := int64(0); k <= backlogMax; k++ {
+		if code := stage(1<<40 + k); code != http.StatusOK {
+			t.Fatalf("telemetry %d: %d, want 200", k, code)
+		}
+	}
+	if n := srv.store.Seg().StagedJobs(); n != backlogMax+1 {
+		t.Fatalf("%d records staged, want %d", n, backlogMax+1)
+	}
+
+	resp, err := http.Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("readyz with only staged telemetry past -backlog-max: %s, want 200", resp.Status)
+	}
+	resp, err = http.Post(ts.URL+"/v1/ingest", "application/json", encodeBatch(t, ds, 0, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: %s, want 200", resp.Status)
+	}
+	if code := stage(1<<40 + backlogMax + 1); code != http.StatusTooManyRequests {
+		t.Fatalf("telemetry past -backlog-max: %d, want 429", code)
+	}
+}
+
 // TestServerConcurrentIngestQuery is a -race scenario (`make race`):
 // parallel ingest writers against parallel summary/stats/figures readers,
 // then a final consistency check against the batch pipeline.

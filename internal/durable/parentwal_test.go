@@ -83,6 +83,77 @@ func TestOpenReplaysParentWAL(t *testing.T) {
 // same figures byte for byte, leave no recovered job in the tail, and hold
 // the summary of a fresh store fed the same operations.
 func TestOpenParentDir(t *testing.T) {
+	dir := copyParentDir(t)
+	// The config the dir was written with.
+	cfg := trace.SegConfig{DurationDays: 7, SegmentJobs: 64, MaxSegments: 4}
+	st, err := Open(dir, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.CloseNoSnapshot()
+	if st.Seg().Len() != 230 || st.Seg().TailJobs() != 0 || st.Seg().StagedJobs() != 1 {
+		t.Fatalf("opened %d jobs, %d in the tail, %d staged; want 230, 0, 1",
+			st.Seg().Len(), st.Seg().TailJobs(), st.Seg().StagedJobs())
+	}
+	checkParentDirStore(t, st.Seg(), cfg)
+}
+
+// TestOpenParentDirIgnoresMaxSegments: the store ignores MaxSegments, so a
+// data dir opens under any value of it, including one other than the
+// value its format-1 snapshot recorded (4).
+func TestOpenParentDirIgnoresMaxSegments(t *testing.T) {
+	cfg := trace.SegConfig{DurationDays: 7, SegmentJobs: 64, MaxSegments: 64}
+	st, err := Open(copyParentDir(t), cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.CloseNoSnapshot()
+	checkParentDirStore(t, st.Seg(), cfg)
+}
+
+// TestOpenParentDirUpgrade: a format-1 data dir upgraded by one checkpoint
+// reopens from the format-2 snapshot alone — no format-1 file, no WAL —
+// with the same state, summary and figures, and again after a restart
+// that writes format 2 over format 2.
+func TestOpenParentDirUpgrade(t *testing.T) {
+	cfg := trace.SegConfig{DurationDays: 7, SegmentJobs: 64}
+	st, err := Open(copyParentDir(t), cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	snap := captureSnapshot(t, st)
+	if err := st.CloseNoSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	name := snapFileName(snap.NextSeq)
+	data, err := os.ReadFile(filepath.Join(st.dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte(snapMagic)) {
+		t.Fatalf("the checkpoint wrote %q..., not format 2", data[:min(8, len(data))])
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for restart := 0; restart < 2; restart++ {
+		st, err := Open(dir, cfg, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkParentDirStore(t, st.Seg(), cfg)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func copyParentDir(t *testing.T) string {
+	t.Helper()
 	src := filepath.Join("testdata", "parent-dir")
 	ents, err := os.ReadDir(src)
 	if err != nil {
@@ -98,15 +169,14 @@ func TestOpenParentDir(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The config the dir was written with; Open refuses any other.
-	cfg := trace.SegConfig{DurationDays: 7, SegmentJobs: 64, MaxSegments: 4}
-	st, err := Open(dir, cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.CloseNoSnapshot()
+	return dir
+}
 
-	// The operations that wrote the dir, minus its seals and compactions.
+// checkParentDirStore requires st to hold the state and summary of a fresh
+// store fed the operations that wrote testdata/parent-dir (minus its seals
+// and compactions), and to render figures.txt byte for byte.
+func checkParentDirStore(t *testing.T, st *trace.SegStore, cfg trace.SegConfig) {
+	t.Helper()
 	ref := trace.NewSegStore(cfg)
 	stage := func(id int64) {
 		per := []metrics.MetricSummaries{{metrics.SMUtil: {Min: 1, Mean: 2.5, Max: 3}}}
@@ -129,22 +199,18 @@ func TestOpenParentDir(t *testing.T) {
 	stage(5004)
 	ingest(5000, 20)
 
-	if st.Seg().Len() != 230 || st.Seg().TailJobs() != 0 || st.Seg().StagedJobs() != 1 {
-		t.Fatalf("opened %d jobs, %d in the tail, %d staged; want 230, 0, 1",
-			st.Seg().Len(), st.Seg().TailJobs(), st.Seg().StagedJobs())
-	}
-	if a, b := fingerprint(t, st.Seg()), fingerprint(t, ref); a != b {
+	if a, b := fingerprint(t, st), fingerprint(t, ref); a != b {
 		t.Fatal("opened store's state differs from the operations that wrote it")
 	}
-	if a, b := summaryBits(st.Seg().Summary()), summaryBits(ref.Summary()); a != b {
+	if a, b := summaryBits(st.Summary()), summaryBits(ref.Summary()); a != b {
 		t.Fatalf("summary\n got %s\nwant %s", a, b)
 	}
-	want, err := os.ReadFile(filepath.Join(src, "figures.txt"))
+	want, err := os.ReadFile(filepath.Join("testdata", "parent-dir", "figures.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	if err := report.RenderReport(&got, core.CharacterizeSeg(st.Seg().Snapshot(), 2)); err != nil {
+	if err := report.RenderReport(&got, core.CharacterizeSeg(st.Snapshot(), 2)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {

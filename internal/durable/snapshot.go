@@ -26,16 +26,23 @@ import (
 //
 // Snapshots are written to a temp file, fsynced, renamed into place and the
 // directory synced — a torn snapshot is either invisible (tmp never renamed)
-// or detectably corrupt (gzip checksums fail), and recovery falls back to
-// the previous snapshot plus a longer WAL replay.
+// or detectably corrupt (a block CRC or the end block fails), and recovery
+// falls back to the previous snapshot plus a longer WAL replay.
+//
+// Checkpoints write format 2, the binary layout in snapformat.go. Format 1,
+// gzip-compressed JSON, is still read from older data directories; the
+// gzip magic tells the two apart.
 
 const (
 	snapPrefix = "snap-"
 	snapSuffix = ".snap"
 	tmpSuffix  = ".tmp"
 
-	snapshotFormat = 1
+	snapshotFormat = 2
 )
+
+// gzipMagic opens every format-1 snapshot.
+var gzipMagic = []byte{0x1f, 0x8b}
 
 // AppliedBatch is one entry of the idempotency ledger: a client batch ID,
 // the WAL sequence that committed it, and the job count it added (the
@@ -46,19 +53,35 @@ type AppliedBatch struct {
 	Jobs int    `json:"jobs"`
 }
 
-// snapConfig mirrors trace.SegConfig with tags; recovery refuses to resume a
-// data directory under a different config. DurationDays normalizes the
-// figures, so resuming under another value would silently change every
-// answer over the recovered jobs; the seal threshold and the ignored
-// MaxSegments change no answer but are held to the recorded values alike, so
-// a data directory keeps the one config it was written with.
+// snapConfig is the part of trace.SegConfig a data directory is bound to;
+// recovery refuses to resume under a different one. DurationDays
+// normalizes the figures, so resuming under another value would silently
+// change every answer over the recovered jobs. The seal threshold changes
+// no answer but is held to the recorded value alike, so a data directory
+// keeps the seal schedule it was written with. MaxSegments is ignored by
+// the store, so it is not recorded (format 1's max_segments is read and
+// dropped).
 type snapConfig struct {
 	DurationDays float64 `json:"duration_days"`
 	SegmentJobs  int     `json:"segment_jobs"`
-	MaxSegments  int     `json:"max_segments"`
 }
 
-type snapshotFile struct {
+func snapConfigOf(cfg trace.SegConfig) snapConfig {
+	return snapConfig{DurationDays: cfg.DurationDays, SegmentJobs: cfg.SegmentJobs}
+}
+
+// snapshot is one checkpoint in memory, whichever format it was read from.
+type snapshot struct {
+	Seg     snapConfig
+	NextSeq uint64
+	Chain   Chain // the chain value at NextSeq
+	Applied []AppliedBatch
+	State   *trace.SegStoreState
+}
+
+// snapshotFileV1 is the format-1 document: one encoding/json value,
+// gzip-compressed.
+type snapshotFileV1 struct {
 	Format  int                  `json:"format"`
 	Seg     snapConfig           `json:"seg"`
 	NextSeq uint64               `json:"next_seq"`
@@ -89,29 +112,16 @@ func parseSnapName(name string) (uint64, bool) {
 // is safe because snap was captured under the commit mutex: every record
 // appended since has seq >= snap.NextSeq, lives in a file pruneObsolete
 // keeps, and replays on top of this snapshot.
-//
-// The gzip level is BestSpeed: it compresses this data several times
-// faster than the default level for a somewhat larger file, and any level
-// reads back through the same gzip reader.
-func writeSnapshot(dir string, snap *snapshotFile, chaos *Chaos) error {
+func writeSnapshot(dir string, snap *snapshot, chaos *Chaos) error {
 	name := snapFileName(snap.NextSeq)
 	tmp := filepath.Join(dir, name+tmpSuffix)
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	zw, err := gzip.NewWriterLevel(f, gzip.BestSpeed)
-	if err != nil {
+	if err := writeFormat2(f, snap); err != nil {
 		f.Close()
-		return err
-	}
-	if err := encodeSnapshot(zw, snap); err != nil {
-		f.Close()
-		return fmt.Errorf("durable: encoding snapshot: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		f.Close()
-		return err
+		return fmt.Errorf("durable: writing snapshot: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -133,92 +143,6 @@ func writeSnapshot(dir string, snap *snapshotFile, chaos *Chaos) error {
 	}
 	chaos.hit("snapprune")
 	return syncDir(dir)
-}
-
-// encodeSnapshot writes snap as the bytes json.NewEncoder(w).Encode(snap)
-// produces, but one field, job, series and staged entry at a time
-// through a buffered writer, so a checkpoint never holds the whole document
-// in memory. The keys and omitempty rules mirror the struct tags of
-// snapshotFile and trace.SegStoreState; the differential test pins the
-// output to encoding/json's.
-func encodeSnapshot(w io.Writer, snap *snapshotFile) error {
-	e := &snapEncoder{w: bufio.NewWriterSize(w, 64<<10)}
-	e.enc = json.NewEncoder(&e.buf)
-	e.raw(`{"format":`)
-	e.value(snap.Format)
-	e.raw(`,"seg":`)
-	e.value(snap.Seg)
-	e.raw(`,"next_seq":`)
-	e.value(snap.NextSeq)
-	e.raw(`,"chain":`)
-	e.value(snap.Chain)
-	if len(snap.Applied) > 0 {
-		e.raw(`,"applied":`)
-		e.array(len(snap.Applied), func(i int) any { return &snap.Applied[i] })
-	}
-	e.raw(`,"state":`)
-	if st := snap.State; st == nil {
-		e.raw("null")
-	} else {
-		e.raw(`{"jobs":`)
-		if st.Jobs == nil {
-			e.raw("null")
-		} else {
-			e.array(len(st.Jobs), func(i int) any { return &st.Jobs[i] })
-		}
-		if len(st.Series) > 0 {
-			e.raw(`,"series":`)
-			e.array(len(st.Series), func(i int) any { return st.Series[i] })
-		}
-		if len(st.Staged) > 0 {
-			e.raw(`,"staged":`)
-			e.array(len(st.Staged), func(i int) any { return &st.Staged[i] })
-		}
-		e.raw("}")
-	}
-	e.raw("}\n")
-	if e.err != nil {
-		return e.err
-	}
-	return e.w.Flush()
-}
-
-// snapEncoder is encodeSnapshot's writer; the first error sticks and turns
-// every later write into a no-op.
-type snapEncoder struct {
-	w   *bufio.Writer
-	buf bytes.Buffer // one encoded value, reused
-	enc *json.Encoder
-	err error
-}
-
-func (e *snapEncoder) raw(s string) {
-	if e.err == nil {
-		_, e.err = e.w.WriteString(s)
-	}
-}
-
-// value writes v as encoding/json would inside a larger document: Encode's
-// output without its trailing newline.
-func (e *snapEncoder) value(v any) {
-	if e.err != nil {
-		return
-	}
-	e.buf.Reset()
-	if e.err = e.enc.Encode(v); e.err == nil {
-		_, e.err = e.w.Write(e.buf.Bytes()[:e.buf.Len()-1])
-	}
-}
-
-func (e *snapEncoder) array(n int, elem func(i int) any) {
-	e.raw("[")
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			e.raw(",")
-		}
-		e.value(elem(i))
-	}
-	e.raw("]")
 }
 
 // pruneObsolete deletes files recovery can no longer need. The two newest
@@ -276,7 +200,7 @@ func pruneObsolete(dir string) error {
 // none exists. Unreadable snapshots (torn by a crash mid-write that somehow
 // survived the atomic rename discipline, or bit-rotted) are skipped with a
 // fallback to the next-newest; leftover temp files are removed.
-func loadLatestSnapshot(dir string) (*snapshotFile, error) {
+func loadLatestSnapshot(dir string) (*snapshot, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -308,19 +232,34 @@ func loadLatestSnapshot(dir string) (*snapshotFile, error) {
 	return nil, nil
 }
 
-func readSnapshot(path string) (*snapshotFile, error) {
+// readSnapshot reads one snapshot file of either format.
+func readSnapshot(path string) (*snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	zr, err := gzip.NewReader(f)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	r := bufio.NewReaderSize(f, snapBufSize)
+	// A file too short or unreadable to peek at fails in readFormat2.
+	if magic, _ := r.Peek(2); bytes.Equal(magic, gzipMagic) {
+		return readFormat1(r)
+	}
+	return readFormat2(r, fi.Size())
+}
+
+// readFormat1 reads a gzip+JSON snapshot written before format 2.
+func readFormat1(r io.Reader) (*snapshot, error) {
+	zr, err := gzip.NewReader(r)
 	if err != nil {
 		return nil, err
 	}
 	defer zr.Close()
-	var snap snapshotFile
-	if err := json.NewDecoder(zr).Decode(&snap); err != nil {
+	var v1 snapshotFileV1
+	if err := json.NewDecoder(zr).Decode(&v1); err != nil {
 		return nil, err
 	}
 	// The gzip trailer CRC only verifies once the stream is fully consumed.
@@ -330,19 +269,18 @@ func readSnapshot(path string) (*snapshotFile, error) {
 	if err := zr.Close(); err != nil {
 		return nil, err
 	}
-	if snap.Format != snapshotFormat {
-		return nil, fmt.Errorf("durable: snapshot format %d, want %d", snap.Format, snapshotFormat)
+	if v1.Format != 1 {
+		return nil, fmt.Errorf("durable: gzip snapshot format %d, want 1", v1.Format)
 	}
-	if snap.State == nil {
+	if v1.State == nil {
 		return nil, fmt.Errorf("durable: snapshot has no store state")
 	}
-	if _, err := decodeChain(snap.Chain); err != nil {
+	chain, err := decodeChain(v1.Chain)
+	if err != nil {
 		return nil, err
 	}
-	return &snap, nil
+	return &snapshot{Seg: v1.Seg, NextSeq: v1.NextSeq, Chain: chain, Applied: v1.Applied, State: v1.State}, nil
 }
-
-func encodeChain(c Chain) string { return hex.EncodeToString(c[:]) }
 
 func decodeChain(s string) (Chain, error) {
 	var c Chain

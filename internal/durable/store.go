@@ -24,9 +24,9 @@ import (
 //     happens before mu is taken.
 //   - ckpt serializes checkpoints and is always taken before mu. A
 //     checkpoint captures the state under mu (ExportState, the ledger, the
-//     WAL position, a WAL flush) and then encodes, compresses, fsyncs,
-//     renames and prunes with mu released, so commits continue while the
-//     snapshot is written.
+//     WAL position, a WAL flush) and then encodes, fsyncs, renames and
+//     prunes with mu released, so commits continue while the snapshot is
+//     written.
 //
 // Reads go straight to the SegStore (via Seg) under its own lock; queries
 // never wait on the WAL.
@@ -105,16 +105,15 @@ func Open(dir string, cfg trace.SegConfig, opts Options) (*Store, error) {
 	fromSeq := uint64(0)
 	var fromChain Chain
 	if snap != nil {
-		got := trace.SegConfig(snap.Seg)
-		if got != cfg {
-			return nil, fmt.Errorf("durable: data dir was written with config %+v, not %+v — refusing to resume", got, cfg)
+		if want := snapConfigOf(cfg); snap.Seg != want {
+			return nil, fmt.Errorf("durable: data dir was written with config %+v, not %+v — refusing to resume", snap.Seg, want)
 		}
 		s.seg = trace.RestoreSegStore(cfg, snap.State)
 		for _, ab := range snap.Applied {
 			s.applied[ab.ID] = Outcome{Seq: ab.Seq, Jobs: ab.Jobs}
 		}
 		fromSeq = snap.NextSeq
-		fromChain, _ = decodeChain(snap.Chain) // validated by readSnapshot
+		fromChain = snap.Chain
 	} else {
 		s.seg = trace.NewSegStore(cfg)
 	}
@@ -340,17 +339,16 @@ func (s *Store) checkpoint(auto bool) error {
 // It returns the jobs the snapshot will cover beyond the previous one.
 // Records appended after the capture all have seq >= NextSeq, so they
 // replay on top of this snapshot and pruning never deletes them.
-func (s *Store) captureLocked() (*snapshotFile, int, error) {
+func (s *Store) captureLocked() (*snapshot, int, error) {
 	applied := make([]AppliedBatch, 0, len(s.applied))
 	for id, out := range s.applied {
 		applied = append(applied, AppliedBatch{ID: id, Seq: out.Seq, Jobs: out.Jobs})
 	}
 	sort.Slice(applied, func(a, b int) bool { return applied[a].ID < applied[b].ID })
-	snap := &snapshotFile{
-		Format:  snapshotFormat,
-		Seg:     snapConfig(s.cfg),
+	snap := &snapshot{
+		Seg:     snapConfigOf(s.cfg),
 		NextSeq: s.w.nextSeq,
-		Chain:   encodeChain(s.w.chain),
+		Chain:   s.w.chain,
 		Applied: applied,
 		State:   s.seg.ExportState(),
 	}
@@ -409,8 +407,9 @@ func (s *Store) Seg() *trace.SegStore { return s.seg }
 
 // Backlog returns the unsealed work the server is carrying: tail jobs not
 // yet folded into a sealed segment plus parked telemetry awaiting its join.
-// The telemetry handler sheds load (HTTP 429) and /readyz reports unready
-// while this exceeds its bound.
+// The telemetry handler sheds load (HTTP 429) while this exceeds its bound.
+// Ingest admission and readiness count the tail alone: staged telemetry
+// drains only when its job arrives, so it must not hold off that ingest.
 func (s *Store) Backlog() int {
 	return s.seg.TailJobs() + s.seg.StagedJobs()
 }

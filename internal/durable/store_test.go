@@ -72,7 +72,7 @@ func batchDS(base int64, n int) *trace.Dataset {
 	return ds
 }
 
-func batchBody(t *testing.T, base int64, n int) []byte {
+func batchBody(t testing.TB, base int64, n int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := batchDS(base, n).WriteJSON(&buf); err != nil {

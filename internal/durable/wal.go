@@ -11,7 +11,8 @@
 // Layout of a data directory:
 //
 //	wal-<firstSeq%016x>.log   append-only record files, rotated by size
-//	snap-<nextSeq%016x>.snap  gzip+JSON snapshots (atomic tmp+rename)
+//	snap-<nextSeq%016x>.snap  binary snapshots, format 2 (atomic tmp+rename;
+//	                          format-1 gzip+JSON files are still read)
 //
 // Every WAL file starts with a 48-byte header — magic, the sequence number
 // of its first record, and the chain value BEFORE that record — so each
