@@ -100,18 +100,25 @@ perfbench:
 # Allocation-count guards (PR 6, part of `make check`): the calendar queue's
 # steady-state zero-allocation property, the end-to-end per-job allocation
 # budget of Simulate, BuildColumns' pinned allocation count (it runs once
-# per simulation replication), and ReadJSON's per 1000-job ingest body (it
-# runs once per ingest batch and per replayed WAL batch). Skipped
-# automatically under -race.
+# per simulation replication), ReadJSON's per 1000-job ingest body (it
+# runs once per ingest batch and per replayed WAL batch), and the bytes one
+# serial /v1/figures query allocates after seals on a 90k-job store (a
+# query that merged the whole sealed prefix again would allocate a sorted
+# copy of every column). Skipped automatically under -race.
 alloc-guard:
 	$(GO) test ./internal/slurm -count=1 		-run 'TestCalQueueSteadyStateAllocFree|TestHeapSpecBoxesPerEvent|TestSimulatePerJobAllocBudget'
 	$(GO) test ./internal/trace -count=1 -run 'TestBuildColumnsAllocBudget|TestReadJSONAllocBudget'
 	$(GO) test ./internal/core -count=1 -run 'TestFoldFiguresAllocsIndependentOfJobs'
+	$(GO) test . -count=1 -run 'TestFiguresAfterSealsAllocBudget'
 
 # Figure/experiment benchmarks: one `go test -bench` per paper table and
 # figure metric, plus the scheduler, streaming and durability benchmarks
 # in bench_*_test.go — among them BenchmarkFiguresAfterAppend, the cost
-# (ms and allocs) of one live /v1/figures query on a 50k-job store.
+# (ms and allocs) of one live /v1/figures query on a 50k-job store with no
+# seal pending, and BenchmarkFiguresAfterSeals, one serial query after 15
+# 1000-job appends to a 20k-, 50k- and 90k-job store (ms/query, and the
+# appends' ms per 1000 jobs); TestFiguresAfterSealsAllocBudget in
+# `make alloc-guard` pins the bytes that query allocates at 90k jobs.
 bench-figures:
 	$(GO) test -bench . -benchmem -run '^$$' .
 

@@ -32,8 +32,8 @@ var charDataCache sync.Map // jobs -> *trace.Dataset
 // charDataset builds (once per size) the paper-shaped dataset for the
 // characterization benchmarks: the analytic generator path, which attaches
 // the monitored time-series subset exactly like a replication run does.
-func charDataset(b *testing.B, jobs int) *trace.Dataset {
-	b.Helper()
+func charDataset(tb testing.TB, jobs int) *trace.Dataset {
+	tb.Helper()
 	if v, ok := charDataCache.Load(jobs); ok {
 		return v.(*trace.Dataset)
 	}
@@ -43,7 +43,7 @@ func charDataset(b *testing.B, jobs int) *trace.Dataset {
 	gcfg.Seed = 7
 	gen, err := workload.NewGenerator(gcfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ds := gen.BuildDataset(gen.GenerateSpecs())
 	charDataCache.Store(jobs, ds)

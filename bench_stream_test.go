@@ -10,12 +10,15 @@
 // (bench/baseline_pr8.json); read them with `git show 99d72da:<file>`. The
 // acceptance bar was ≥10x at jobs=100k. BenchmarkFiguresAfterAppend times
 // the live /v1/figures query itself: every figure over a fresh snapshot of
-// a 50k-job store, rendered.
+// a 50k-job store, rendered, with no seal pending; BenchmarkFiguresAfterSeals
+// times it after the seals that land between two ingest-query queries, and
+// TestFiguresAfterSealsAllocBudget pins the bytes that query allocates.
 package repro
 
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -164,4 +167,104 @@ func BenchmarkFiguresAfterAppend(b *testing.B) {
 			b.ReportMetric(b.Elapsed().Seconds()*1000/float64(b.N), "ms/query")
 		})
 	}
+}
+
+// A query after seals: a store of base jobs, built by 1000-job appends and
+// queried once, as on a server that has been answering queries all along,
+// then sealsAppends more appends of sealsBatch jobs — about three and a
+// half seals at DefaultSegmentJobs, what lands between two ingest-query
+// queries at 4 queries/s.
+const sealsAppends, sealsBatch = 15, 1000
+
+// sealsBases are the store sizes BenchmarkFiguresAfterSeals sweeps.
+var sealsBases = []int{20_000, 50_000, 90_000}
+
+// sealsDataset is the job sequence the after-seals stores are cut from.
+func sealsDataset(tb testing.TB) *trace.Dataset {
+	return charDataset(tb, sealsBases[len(sealsBases)-1]+sealsAppends*sealsBatch)
+}
+
+// figuresQuery answers one /v1/figures query over a fresh snapshot.
+func figuresQuery(st *trace.SegStore, workers int) error {
+	return report.RenderReport(io.Discard, core.CharacterizeSeg(st.Snapshot(), workers))
+}
+
+// sealsStore builds the queried store of base jobs.
+func sealsStore(tb testing.TB, ds *trace.Dataset, base int) *trace.SegStore {
+	tb.Helper()
+	st := trace.NewSegStore(trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: trace.DefaultSegmentJobs})
+	for lo := 0; lo < base; lo += sealsBatch {
+		st.AppendBatch(ds.Jobs[lo : lo+sealsBatch])
+	}
+	if err := figuresQuery(st, 1); err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
+
+// appendSeals makes the appends that precede the measured query.
+func appendSeals(st *trace.SegStore, ds *trace.Dataset, base int) {
+	for k := 0; k < sealsAppends; k++ {
+		lo := base + k*sealsBatch
+		st.AppendBatch(ds.Jobs[lo : lo+sealsBatch])
+	}
+}
+
+// BenchmarkFiguresAfterSeals is one serial /v1/figures query after
+// sealsAppends appends to a 20k-, 50k- or 90k-job store, the case
+// BenchmarkFiguresAfterAppend leaves out: the seals those appends make
+// leave runs to merge. It reports the query (ms/query) and, separately,
+// the appends with the settle work they do (append-ms/1k-jobs); set-up is
+// untimed.
+func BenchmarkFiguresAfterSeals(b *testing.B) {
+	ds := sealsDataset(b)
+	for _, base := range sealsBases {
+		b.Run(fmt.Sprintf("jobs=%dk", base/1000), func(b *testing.B) {
+			b.StopTimer()
+			var appendSec float64
+			for i := 0; i < b.N; i++ {
+				st := sealsStore(b, ds, base)
+				before := b.Elapsed()
+				b.StartTimer()
+				appendSeals(st, ds, base)
+				b.StopTimer()
+				appendSec += (b.Elapsed() - before).Seconds()
+				b.StartTimer()
+				err := figuresQuery(st, 1)
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric((b.Elapsed().Seconds()-appendSec)*1000/float64(b.N), "ms/query")
+			b.ReportMetric(appendSec*1000/float64(b.N*sealsAppends), "append-ms/1k-jobs")
+		})
+	}
+}
+
+// TestFiguresAfterSealsAllocBudget pins the bytes BenchmarkFiguresAfterSeals'
+// query allocates at 90k jobs with one worker, measured on go1.24/amd64: a
+// query that merged the whole sealed prefix again would allocate a sorted
+// copy of every column. Re-pin it (and say why) when the figures or the
+// store's layout legitimately change.
+func TestFiguresAfterSealsAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are not meaningful under the race detector")
+	}
+	ds := sealsDataset(t)
+	base := sealsBases[len(sealsBases)-1]
+	st := sealsStore(t, ds, base)
+	appendSeals(st, ds, base)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := figuresQuery(st, 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const budget = 4 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	if got > budget {
+		t.Fatalf("a query after %d appends to a %d-job store allocates %d bytes, budget %d", sealsAppends, base, got, budget)
+	}
+	t.Logf("query after %d appends to a %d-job store: %d bytes (%.1f MB)", sealsAppends, base, got, float64(got)/(1<<20))
 }

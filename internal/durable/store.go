@@ -29,7 +29,9 @@ import (
 //     written.
 //
 // Reads go straight to the SegStore (via Seg) under its own lock; queries
-// never wait on the WAL.
+// never wait on the WAL. The SegStore's settle work (sorting the runs a
+// batch sealed, folding them into the sorted prefixes) runs on one
+// background goroutine, so neither commits, acks nor queries wait on it.
 type Store struct {
 	ckpt sync.Mutex
 	mu   sync.Mutex
@@ -43,6 +45,11 @@ type Store struct {
 	applied map[string]Outcome // guarded by mu
 	dirty   int                // guarded by mu; jobs applied since the last snapshot
 	closed  bool               // guarded by mu
+	// settle wakes the settler (settleLoop); a wake-up already pending
+	// covers a later batch too. Sent to and closed under mu, so no send
+	// follows the close; settled is closed when the settler has exited.
+	settle  chan struct{} // guarded by mu
+	settled chan struct{}
 }
 
 // Options configures durability behavior.
@@ -125,12 +132,26 @@ func Open(dir string, cfg trace.SegConfig, opts Options) (*Store, error) {
 	// Recovered history is sealed, not backlog. Without this seal, the
 	// jobs past the last automatic seal (all of them under -segment-jobs
 	// -1) would count against the backpressure bound after every restart.
+	// It also settles what replay sealed: replayed appends leave their runs
+	// unsorted, so they are sorted and folded here once.
 	s.seg.SealTail()
 	s.w, err = openWALForAppend(dir, state.tail, state.validBytes, state.nextSeq, state.chain, opts.Sync, opts.RotateBytes, opts.Chaos)
 	if err != nil {
 		return nil, err
 	}
+	wake := make(chan struct{}, 1)
+	s.settle, s.settled = wake, make(chan struct{})
+	go s.settleLoop(wake)
 	return s, nil
+}
+
+// settleLoop runs the SegStore's settle work whenever a commit wakes it,
+// until Close closes wake.
+func (s *Store) settleLoop(wake <-chan struct{}) {
+	defer close(s.settled)
+	for range wake {
+		s.seg.Settle()
+	}
 }
 
 // applyRecord replays one WAL record into the store during recovery. Every
@@ -238,6 +259,12 @@ func (s *Store) IngestBatch(id string, body []byte) (out Outcome, dup bool, err 
 	}
 	s.opts.Chaos.hit("apply")
 	s.seg.AppendDataset(ds)
+	// The runs the batch sealed are settled by the settler, not by this
+	// commit or its ack.
+	select {
+	case s.settle <- struct{}{}:
+	default:
+	}
 	out = Outcome{Seq: seq, Jobs: len(ds.Jobs)}
 	s.applied[id] = out
 	s.dirty += len(ds.Jobs)
@@ -375,9 +402,11 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
+	close(s.settle)
 	snap, _, snapErr := s.captureLocked()
 	closeErr := s.w.Close()
 	s.mu.Unlock()
+	<-s.settled
 	if snapErr == nil {
 		snapErr = writeSnapshot(s.dir, snap, s.opts.Chaos)
 	}
@@ -393,12 +422,16 @@ func (s *Store) Close() error {
 // dirs without killing a process.
 func (s *Store) CloseNoSnapshot() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
-	return s.w.Close()
+	close(s.settle)
+	err := s.w.Close()
+	s.mu.Unlock()
+	<-s.settled
+	return err
 }
 
 // Seg exposes the underlying SegStore for queries. Callers must not mutate

@@ -42,18 +42,9 @@ func NewRunsView(runs ...[]float64) *RunsView {
 	case 2:
 		v.a, v.b = live[0], live[1]
 	default:
-		// Rare fallback: fold everything past the first run into one merged
+		// Rare fallback: merge everything past the first run into one
 		// second run. Callers in the hot path always pass one or two.
-		n := 0
-		for _, r := range live[1:] {
-			n += len(r)
-		}
-		m := make([]float64, 0, n)
-		for _, r := range live[1:] {
-			m = append(m, r...)
-		}
-		sort.Float64s(m)
-		v.a, v.b = live[0], m
+		v.a, v.b = live[0], MergeRuns(live[1:])
 	}
 	v.n = len(v.a) + len(v.b)
 	return v
@@ -231,6 +222,37 @@ func (v *RunsView) Box() BoxStats {
 	b.Outliers = MergeSorted(b.Outliers, v.a[:la], v.b[:lb])
 	b.Outliers = MergeSorted(b.Outliers, v.a[ha:], v.b[hb:])
 	return b
+}
+
+// MergeRuns merges ascending runs into one ascending slice by rounds of
+// pairwise MergeSorted calls in run order — O(n log k) with sequential
+// memory traffic, and the output is the same ascending multiset a full sort
+// would produce. A single non-empty run is returned as is, not copied;
+// runs is not modified.
+func MergeRuns(runs [][]float64) []float64 {
+	live := make([][]float64, 0, len(runs))
+	for _, r := range runs {
+		if len(r) > 0 {
+			live = append(live, r)
+		}
+	}
+	switch len(live) {
+	case 0:
+		return []float64{}
+	case 1:
+		return live[0]
+	}
+	for len(live) > 1 {
+		next := live[:0]
+		for i := 0; i+1 < len(live); i += 2 {
+			next = append(next, MergeSorted(make([]float64, 0, len(live[i])+len(live[i+1])), live[i], live[i+1]))
+		}
+		if len(live)%2 == 1 {
+			next = append(next, live[len(live)-1])
+		}
+		live = next
+	}
+	return live[0]
 }
 
 // MergeSorted appends the ascending merge of the ascending runs a and b to

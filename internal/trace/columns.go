@@ -79,7 +79,7 @@ func (c *FloatColumn) Sorted() []float64 {
 	}
 	c.once.Do(func() {
 		if runs := c.sortedRuns(); runs != nil {
-			c.sorted = mergeSortedRuns(runs)
+			c.sorted = stats.MergeRuns(runs)
 			return
 		}
 		c.sorted = sortDropNaN(c.vals)
@@ -678,34 +678,4 @@ func sortDropNaN(vals []float64) []float64 {
 	}
 	sort.Float64s(s)
 	return s
-}
-
-// mergeSortedRuns k-way merges ascending runs into one ascending slice by
-// rounds of pairwise merges in run order — O(n log k) with sequential
-// memory traffic, and the output is the same ascending multiset a full
-// sort would produce.
-func mergeSortedRuns(runs [][]float64) []float64 {
-	live := make([][]float64, 0, len(runs))
-	for _, r := range runs {
-		if len(r) > 0 {
-			live = append(live, r)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return []float64{}
-	case 1:
-		return live[0]
-	}
-	for len(live) > 1 {
-		next := live[:0]
-		for i := 0; i+1 < len(live); i += 2 {
-			next = append(next, stats.MergeSorted(make([]float64, 0, len(live[i])+len(live[i+1])), live[i], live[i+1]))
-		}
-		if len(live)%2 == 1 {
-			next = append(next, live[len(live)-1])
-		}
-		live = next
-	}
-	return live[0]
 }

@@ -78,3 +78,31 @@ func (c *FloatColumn) Values() []float64 {
 	}
 	return c.vals
 }
+
+// FoldRatio is K of the sealed-prefix fold rule.
+const FoldRatio = foldRatio
+
+// FoldBacklog returns, per float column, the sealed values waiting to be
+// folded into the column's sorted prefix and the values the prefix holds.
+func (st *SegStore) FoldBacklog() (waiting, prefix []int) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for c := range st.sealedEnd {
+		waiting = append(waiting, st.sealedEnd[c]-st.prefixEnd[c])
+		prefix = append(prefix, st.prefixEnd[c])
+	}
+	return waiting, prefix
+}
+
+// SettleRound is one Settle round claimed by TakeSettle and not yet
+// finished: its folds are in flight until FinishSettle publishes them.
+type SettleRound struct{ w settleWork }
+
+// Folds returns the number of column folds the round claimed.
+func (r *SettleRound) Folds() int { return len(r.w.folds) }
+
+// TakeSettle claims the next Settle round without doing it.
+func (st *SegStore) TakeSettle() *SettleRound { return &SettleRound{st.takeSettle()} }
+
+// FinishSettle does a claimed round and publishes its folds.
+func (st *SegStore) FinishSettle(r *SettleRound) { st.finishSettle(r.w) }

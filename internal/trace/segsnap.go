@@ -64,11 +64,17 @@ func (st *SegStore) ExportState() *SegStoreState {
 }
 
 // RestoreSegStore rebuilds a store from an exported state. Jobs re-append
-// in order, sealing wherever cfg's threshold says, so every column, index,
-// sorted view and the Summary digest rebuild exactly as the original built
-// them.
+// in order, sealing wherever cfg's threshold says, so every column, sorted
+// view and the Summary digest rebuild exactly as the original built them;
+// one Settle then sorts the sealed runs and folds them into the prefixes.
 func RestoreSegStore(cfg SegConfig, s *SegStoreState) *SegStore {
 	st := NewSegStore(cfg)
+	st.restore(s)
+	st.Settle()
+	return st
+}
+
+func (st *SegStore) restore(s *SegStoreState) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for i := range s.Jobs {
@@ -83,7 +89,4 @@ func RestoreSegStore(cfg SegConfig, s *SegStoreState) *SegStore {
 	}
 	st.gen++
 	st.snap = nil
-	// The store is not shared yet, so its runs sort under the lock.
-	sortRuns(st.takeUnsortedLocked())
-	return st
 }

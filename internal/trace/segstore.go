@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 
 	"repro/internal/metrics"
@@ -25,24 +26,38 @@ import (
 //   - dataset-order vectors are the same physical elements, so every
 //     sequential (Welford, sum) figure scan folds the identical float
 //     sequence;
-//   - sorted views merge the cached sorted run of the sealed prefix with a
-//     sort of the small tail, and merging ascending runs of a multiset
-//     yields the same ascending array as sorting the whole — without
-//     re-sorting sealed data ever again;
+//   - sorted views merge a column's sorted sealed prefix with the merge of
+//     the runs sealed after it and a sort of the small tail, and merging
+//     ascending runs of a multiset yields the same ascending array as
+//     sorting the whole — without re-sorting sealed data ever again;
 //   - the per-user and per-GPU-count folds, the grouped columns' counters
 //     and the Summary digest accumulate job by job in append order, exactly
 //     as BuildColumns accumulates them, and a snapshot copies them.
 //
-// Sealing freezes the tail: the appender that sealed it sorts its run off
-// the lock, and the next snapshot folds it into the sealed-prefix merge
-// cascade (sealedMerge). A seal changes no answer — figures and Summary
-// are functions of the job sequence alone — so where a store sealed is a
-// performance detail that neither the WAL nor a snapshot records.
+// Sealing freezes the tail into a run. What a seal leaves to do is settle
+// work, and the appender does it (Settle) after releasing the lock: it
+// sorts the new runs, and it folds a column's waiting runs into the
+// column's sorted prefix once they reach 1/foldRatio of it. The prefix
+// thus grows geometrically, so ingest merges each value into a prefix
+// about foldRatio+1 times on average, whatever the store size, and a query
+// merges at most about n/(foldRatio+1) sealed values plus the tail, where
+// folding at the query would merge all n. A seal changes no answer —
+// figures and Summary are functions of the job sequence alone — so where a
+// store sealed or folded is a performance detail that neither the WAL nor
+// a snapshot records.
 
 // jobChunkSize is the slab size of the job arena. Chunks are allocated at
 // full capacity and never grow, so *JobRecord pointers handed to column
 // views stay valid across appends (a plain growing slice would move them).
 const jobChunkSize = 1024
+
+// foldRatio is K of the sealed-prefix fold rule: a column's waiting sealed
+// runs are folded into its sorted prefix once they hold 1/K as many values
+// as the prefix. Smaller K folds more often (ingest merges each value about
+// K+1 times); larger K leaves more for a query to merge (up to n/(K+1)
+// values). K = 4 was measured best on the ingest-query benchmark
+// (EXPERIMENTS.md, "Geometric sealed-prefix fold").
+const foldRatio = 4
 
 // DefaultSegmentJobs is the seal threshold when SegConfig.SegmentJobs is 0.
 const DefaultSegmentJobs = 4096
@@ -117,19 +132,20 @@ type SegStore struct {
 	seals   int // guarded by mu; sealed-segment count
 	tailJob int // guarded by mu; jobs appended before the last seal
 
-	// sealedMerge[c] is a prefix of column c, proj.f[c][:N()], as a lazily
-	// sorted view (nil before the first seal), and sealedRuns[c] the runs
-	// of the segments sealed after it, through proj.f[c][:sealedEnd[c]].
-	// A seal only adds its run; the next Snapshot folds the waiting runs
-	// into a new sealedMerge that merges them with each other and then
-	// with the old prefix once, on first use. Queries therefore pay one
-	// tail sort plus one pass over the prefix per column, however many
-	// segments were sealed since the last query.
-	sealedMerge [numFloatCols]*FloatColumn   // guarded by mu
-	sealedRuns  [numFloatCols][]*FloatColumn // guarded by mu
-	sealedEnd   [numFloatCols]int            // guarded by mu
-	// unsorted holds the runs sealed since an appender last took them to
-	// sort (sortRuns).
+	// Each column c keeps prefix[c], the ascending NaN-free values of
+	// proj.f[c][:prefixEnd[c]], and sealedRuns[c], the runs sealed after
+	// it, through proj.f[c][:sealedEnd[c]]. A seal only adds its run;
+	// Settle folds the waiting runs into a new prefix once they reach
+	// 1/foldRatio of it, merging the runs with each other and then with the
+	// old prefix once. folding[c] marks a fold taken by Settle and not yet
+	// published; the prefix and runs a snapshot captured stay valid, since
+	// a fold replaces them and never writes into them.
+	prefix     [numFloatCols][]float64      // guarded by mu
+	prefixEnd  [numFloatCols]int            // guarded by mu
+	sealedRuns [numFloatCols][]*FloatColumn // guarded by mu
+	sealedEnd  [numFloatCols]int            // guarded by mu
+	folding    [numFloatCols]bool           // guarded by mu
+	// unsorted holds the runs sealed since Settle last took them to sort.
 	unsorted []*FloatColumn // guarded by mu
 
 	gen  uint64   // guarded by mu
@@ -174,41 +190,24 @@ func NewSegStore(cfg SegConfig) *SegStore {
 	}
 }
 
-// AppendBatch adds records in order, sealing as thresholds are crossed.
+// AppendBatch adds records in order, sealing as thresholds are crossed,
+// then settles what its seals left to do (Settle).
 func (st *SegStore) AppendBatch(jobs []JobRecord) {
-	sortRuns(st.appendBatch(jobs))
+	st.appendBatch(jobs)
+	st.Settle()
 }
 
-func (st *SegStore) appendBatch(jobs []JobRecord) []*FloatColumn {
+func (st *SegStore) appendBatch(jobs []JobRecord) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for i := range jobs {
 		st.appendLocked(jobs[i])
 		st.maybeSealLocked()
 	}
-	return st.takeUnsortedLocked()
-}
-
-// takeUnsortedLocked hands the runs sealed since the last call to an
-// appender, to sort once it has released mu.
-func (st *SegStore) takeUnsortedLocked() []*FloatColumn {
-	runs := st.unsorted
-	st.unsorted = nil
-	return runs
-}
-
-// sortRuns sorts newly sealed runs. Each appender sorts what its batch
-// sealed, after releasing the store lock: ingest pays for sorting its own
-// data, off the lock, rather than the next query paying for sorting
-// everything sealed since the query before it — which would make a query's
-// cost grow with the ingest rate.
-func sortRuns(runs []*FloatColumn) {
-	for _, r := range runs {
-		r.Sorted()
-	}
 }
 
 // AppendDataset streams a whole dataset's jobs and series into the store.
+// Like AppendDatasetMax it leaves the settle work to Settle.
 func (st *SegStore) AppendDataset(ds *Dataset) {
 	// Unbounded append cannot fail; the error is structurally impossible.
 	if err := st.AppendDatasetMax(ds, 0); err != nil {
@@ -234,17 +233,15 @@ func (e *CapacityError) Error() string {
 // nothing is appended and a *CapacityError is returned. Reserve-then-append
 // is a single critical section — the check cannot race another batch's
 // append (the -max-jobs TOCTOU simcloudd shipped with).
+//
+// It does not settle: the runs it seals wait, unsorted, for the next
+// Settle, so a caller that appends under a lock of its own can settle
+// after releasing it. Answers never depend on when Settle runs.
 func (st *SegStore) AppendDatasetMax(ds *Dataset, maxJobs int) error {
-	sealed, err := st.appendDataset(ds, maxJobs)
-	sortRuns(sealed)
-	return err
-}
-
-func (st *SegStore) appendDataset(ds *Dataset, maxJobs int) ([]*FloatColumn, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if maxJobs > 0 && st.nJobs+len(ds.Jobs) > maxJobs {
-		return nil, &CapacityError{Stored: st.nJobs, Batch: len(ds.Jobs), Max: maxJobs}
+		return &CapacityError{Stored: st.nJobs, Batch: len(ds.Jobs), Max: maxJobs}
 	}
 	for i := range ds.Jobs {
 		st.appendLocked(ds.Jobs[i])
@@ -255,7 +252,7 @@ func (st *SegStore) appendDataset(ds *Dataset, maxJobs int) ([]*FloatColumn, err
 	}
 	st.gen++
 	st.snap = nil
-	return st.takeUnsortedLocked(), nil
+	return nil
 }
 
 // StageTelemetry parks monitoring-epilog output (per-GPU digests and the
@@ -320,19 +317,18 @@ func (st *SegStore) maybeSealLocked() {
 }
 
 // SealTail seals the current tail into an immutable segment (a no-op for an
-// empty tail). Sealing never changes query results — it only freezes the
-// region so its sorted run is cached once in the sealed-prefix merge and
-// reused by every later snapshot instead of being re-sorted.
+// empty tail), then settles. Sealing never changes query results — it only
+// freezes the region so its sorted run is merged into the column's sorted
+// prefix and reused by every later snapshot instead of being re-sorted.
 func (st *SegStore) SealTail() {
 	st.mu.Lock()
 	st.sealLocked()
-	sealed := st.takeUnsortedLocked()
 	st.mu.Unlock()
-	sortRuns(sealed)
+	st.Settle()
 }
 
 // sealLocked freezes the tail: it queues each column's run since the last
-// seal for sorting and for the next snapshot's sealed-prefix merge. The
+// seal for sorting and for a later fold into the column's prefix. The
 // memoized view goes, because it reports the seal count and tail size.
 func (st *SegStore) sealLocked() {
 	if st.nJobs == st.tailJob {
@@ -342,6 +338,9 @@ func (st *SegStore) sealLocked() {
 	st.tailJob = st.nJobs
 	for c, vals := range st.proj.f {
 		end := len(vals)
+		if end == st.sealedEnd[c] {
+			continue
+		}
 		run := NewFloatColumn(vals[st.sealedEnd[c]:end:end])
 		st.sealedRuns[c] = append(st.sealedRuns[c], run)
 		st.unsorted = append(st.unsorted, run)
@@ -351,39 +350,88 @@ func (st *SegStore) sealLocked() {
 	st.snap = nil
 }
 
-// foldSealedRunsLocked folds each column's waiting sealed runs into its
-// sealed-prefix merge. The new merge sorts and merges the runs among
-// themselves, then merges the result with the old prefix: one pass over
-// the prefix however many runs wait, where folding each seal's run in
-// turn would pass over it once per run. On ties the prefix comes first,
-// then the runs in seal order, so the merged array is the one run-by-run
-// merging would give. The merge is the column's single run, so once it
-// exists the column holds neither input: each level keeps one sorted copy
-// of the prefix, not two.
-func (st *SegStore) foldSealedRunsLocked() {
-	for c, runs := range st.sealedRuns {
-		prev := st.sealedMerge[c]
-		switch {
-		case len(runs) == 0:
-			continue
-		case prev == nil && len(runs) == 1:
-			st.sealedMerge[c] = runs[0]
-		default:
-			end := st.sealedEnd[c]
-			st.sealedMerge[c] = newMergeSortedColumn(st.proj.f[c][:end:end], func() [][]float64 {
-				sorted := make([][]float64, len(runs))
-				for i, r := range runs {
-					sorted[i] = r.Sorted()
-				}
-				merged := mergeSortedRuns(sorted)
-				if prev != nil {
-					merged = mergeSortedRuns([][]float64{prev.Sorted(), merged})
-				}
-				return [][]float64{merged}
-			})
+// Settle does the work seals leave, with the store lock released: it sorts
+// the runs sealed since the last Settle, and folds every column whose
+// waiting runs hold at least 1/foldRatio as many values as its prefix into
+// a new prefix, which it publishes under the lock. Snapshots never wait on
+// a fold: until it is published they read the old prefix and the runs.
+// Concurrent calls split the work; a column another call is folding is
+// left to that call, which folds again if more runs arrived meanwhile.
+// Answers never depend on when, or whether, Settle runs.
+func (st *SegStore) Settle() {
+	for {
+		w := st.takeSettle()
+		if len(w.runs) == 0 && len(w.folds) == 0 {
+			return
 		}
-		st.sealedRuns[c] = nil
+		st.finishSettle(w)
 	}
+}
+
+// settleWork is what one Settle round does: sort the newly sealed runs and
+// merge the folds it claimed.
+type settleWork struct {
+	runs  []*FloatColumn
+	folds []prefixFold
+}
+
+// prefixFold is one column's fold: the prefix and the waiting runs it
+// merges, captured under the lock, and the merged result.
+type prefixFold struct {
+	col    int
+	end    int // sealedEnd of the last run folded
+	prefix []float64
+	runs   []*FloatColumn
+	merged []float64
+}
+
+// takeSettle claims the runs sealed since the last round and the folds of
+// the columns that are due and not already being folded.
+func (st *SegStore) takeSettle() settleWork {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	w := settleWork{runs: st.unsorted}
+	st.unsorted = nil
+	for c, runs := range st.sealedRuns {
+		if len(runs) == 0 || st.folding[c] || foldRatio*(st.sealedEnd[c]-st.prefixEnd[c]) < st.prefixEnd[c] {
+			continue
+		}
+		st.folding[c] = true
+		w.folds = append(w.folds, prefixFold{col: c, end: st.sealedEnd[c], prefix: st.prefix[c], runs: runs[:len(runs):len(runs)]})
+	}
+	return w
+}
+
+// finishSettle does a claimed round's sorts and merges with the lock
+// released, then publishes the new prefixes under it. Runs sealed while a
+// fold ran stay waiting; the slice of the remaining runs is a fresh one,
+// so the runs a snapshot captured are never overwritten.
+func (st *SegStore) finishSettle(w settleWork) {
+	for _, r := range w.runs {
+		r.Sorted()
+	}
+	for i := range w.folds {
+		w.folds[i].merge()
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, f := range w.folds {
+		st.prefix[f.col] = f.merged
+		st.prefixEnd[f.col] = f.end
+		st.sealedRuns[f.col] = slices.Clone(st.sealedRuns[f.col][len(f.runs):])
+		st.folding[f.col] = false
+	}
+}
+
+// merge merges the fold's runs with each other, then the result with the
+// prefix: one pass over the prefix however many runs wait. On ties the
+// prefix comes first, then the runs in seal order.
+func (f *prefixFold) merge() {
+	sorted := make([][]float64, len(f.runs))
+	for i, r := range f.runs {
+		sorted[i] = r.Sorted()
+	}
+	f.merged = stats.MergeRuns([][]float64{f.prefix, stats.MergeRuns(sorted)})
 }
 
 // Summary returns the store's digest, folded job by job in append order:
@@ -420,26 +468,31 @@ func (st *SegStore) TailJobs() int {
 // snapshot is memoized per generation: queries between appends share one
 // view (and therefore one set of merged sorted runs). Building a fresh view
 // is O(users + series + columns) — no job data is copied, no sort runs.
+// Each column's view has two sorted runs: the sealed prefix, and the merge
+// of the runs waiting to be folded with the sorted tail, built on first use.
 func (st *SegStore) Snapshot() *SegView {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.snap != nil {
 		return st.snap
 	}
-	st.foldSealedRunsLocked()
 	c := st.proj.columns(st.cfg.DurationDays, maps.Clone(st.series), func(id int, vals []float64) *FloatColumn {
-		sealed := st.sealedMerge[id]
-		if sealed == nil {
+		runs := st.sealedRuns[id]
+		if st.prefixEnd[id] == 0 && len(runs) == 0 {
 			// Nothing sealed: a plain sort-on-demand view of the tail
 			// (== the whole store).
 			return NewFloatColumn(vals)
 		}
-		tail := vals[sealed.N():]
+		prefix, runs, tail := st.prefix[id], runs[:len(runs):len(runs)], vals[st.sealedEnd[id]:]
 		return newMergeSortedColumn(vals, func() [][]float64 {
-			if len(tail) == 0 {
-				return [][]float64{sealed.Sorted()}
+			rest := make([][]float64, 0, len(runs)+1)
+			for _, r := range runs {
+				rest = append(rest, r.Sorted())
 			}
-			return [][]float64{sealed.Sorted(), sortDropNaN(tail)}
+			if len(tail) > 0 {
+				rest = append(rest, sortDropNaN(tail))
+			}
+			return [][]float64{prefix, stats.MergeRuns(rest)}
 		})
 	})
 	st.snap = &SegView{

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
@@ -299,20 +301,7 @@ func TestSegStoreConcurrentSorted(t *testing.T) {
 			if v.Segments == 0 || v.TailJobs == 0 {
 				t.Fatalf("want sealed segments and a tail, got %d/%d", v.Segments, v.TailJobs)
 			}
-			cols := []*trace.FloatColumn{v.Cols.RunMin, v.Cols.WaitSec, v.Cols.WaitPct, v.Cols.GPUHours,
-				v.Cols.HostCPU, v.Cols.CPURunMin, v.Cols.CPUWaitSec, v.Cols.CPUWaitPct, v.Cols.CPUHostCPU}
-			cols = append(cols, v.Cols.WaitBySize[:]...)
-			cols = append(cols, v.Cols.Mean[:]...)
-			cols = append(cols, v.Cols.Max[:]...)
-			for k := range v.Cols.ByCategory {
-				cols = append(cols, v.Cols.ByCategory[k].RunMin)
-				cols = append(cols, v.Cols.ByCategory[k].Mean[:]...)
-			}
-			for i := range v.Cols.IfaceMean {
-				cols = append(cols, v.Cols.IfaceMean[i][:]...)
-			}
-			cols = append(cols, v.Cols.MultiGPU.CoVAll[:]...)
-			cols = append(cols, v.Cols.MultiGPU.CoVActive[:]...)
+			cols := floatColumns(v.Cols)
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
@@ -325,6 +314,80 @@ func TestSegStoreConcurrentSorted(t *testing.T) {
 			}
 			wg.Wait()
 			compareColumns(t, want, v.Cols)
+		})
+	}
+}
+
+// floatColumns lists every float column of c.
+func floatColumns(c *trace.Columns) []*trace.FloatColumn {
+	cols := []*trace.FloatColumn{c.RunMin, c.WaitSec, c.WaitPct, c.GPUHours,
+		c.HostCPU, c.CPURunMin, c.CPUWaitSec, c.CPUWaitPct, c.CPUHostCPU}
+	cols = append(cols, c.WaitBySize[:]...)
+	cols = append(cols, c.Mean[:]...)
+	cols = append(cols, c.Max[:]...)
+	for k := range c.ByCategory {
+		cols = append(cols, c.ByCategory[k].RunMin)
+		cols = append(cols, c.ByCategory[k].Mean[:]...)
+	}
+	for i := range c.IfaceMean {
+		cols = append(cols, c.IfaceMean[i][:]...)
+	}
+	cols = append(cols, c.MultiGPU.CoVAll[:]...)
+	return append(cols, c.MultiGPU.CoVActive[:]...)
+}
+
+// TestSegStoreFoldBound checks the sealed-prefix fold rule over random
+// append and seal schedules. After every AppendBatch and SealTail, each
+// column's sealed values waiting to be folded number at most 1/K of its
+// sorted prefix plus one segment, so a query merges at most about n/(K+1)
+// sealed values. And a prefix only grows by at least 1/K of itself, so
+// ingest merges each value into a prefix about K+1 times on average.
+func TestSegStoreFoldBound(t *testing.T) {
+	ds := segJobs(t, 0.05, 43)
+	for trial := 0; trial < 6; trial++ {
+		rng := rand.New(rand.NewSource(int64(200 + trial)))
+		segJobsN := 1 + rng.Intn(600)
+		if trial == 0 {
+			segJobsN = 1
+		}
+		t.Run(fmt.Sprintf("trial=%d/segment=%d", trial, segJobsN), func(t *testing.T) {
+			st := trace.NewSegStore(trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: segJobsN})
+			var last []int
+			folds := 0
+			check := func(op string) {
+				t.Helper()
+				waiting, prefix := st.FoldBacklog()
+				for c := range waiting {
+					if waiting[c] > prefix[c]/trace.FoldRatio+segJobsN {
+						t.Fatalf("after %s at %d jobs: column %d has %d sealed values waiting beside a %d-value prefix",
+							op, st.Len(), c, waiting[c], prefix[c])
+					}
+					if last == nil || prefix[c] == last[c] {
+						continue
+					}
+					folds++
+					if grown := prefix[c] - last[c]; grown < 0 || trace.FoldRatio*grown < last[c] {
+						t.Fatalf("after %s at %d jobs: column %d's prefix went from %d to %d values, not by 1/%d of itself",
+							op, st.Len(), c, last[c], prefix[c], trace.FoldRatio)
+					}
+				}
+				last = prefix
+			}
+			for i := 0; i < len(ds.Jobs); {
+				if rng.Intn(8) == 0 {
+					st.SealTail()
+					check("a seal")
+					continue
+				}
+				n := min(1+rng.Intn(400), len(ds.Jobs)-i)
+				st.AppendBatch(ds.Jobs[i : i+n])
+				i += n
+				check("an append")
+			}
+			if folds == 0 {
+				t.Fatal("no column was ever folded")
+			}
+			compareColumns(t, trace.BuildColumns(&trace.Dataset{Jobs: ds.Jobs, DurationDays: ds.DurationDays}), st.Snapshot().Cols)
 		})
 	}
 }
@@ -406,16 +469,23 @@ func TestSegStoreStageTelemetry(t *testing.T) {
 
 // TestSegStoreConcurrentAppendQuery is a -race scenario: writers
 // appending while readers snapshot, query figures inputs, and force sorted
-// materialization. Run under -race this pins the snapshot immutability
-// contract; without -race it still checks monotonic visibility.
+// materialization, and a settler folds sealed runs into the prefixes,
+// snapshotting and sorting while each round's folds are in flight. Once it
+// has done so, two more goroutines call Settle concurrently with it. Run
+// under -race this pins the snapshot immutability contract; without -race
+// it still checks monotonic visibility, and that views taken mid-fold sort
+// to their own values.
 func TestSegStoreConcurrentAppendQuery(t *testing.T) {
 	ds := segJobs(t, 0.05, 41)
 	st := trace.NewSegStore(trace.SegConfig{DurationDays: ds.DurationDays, SegmentJobs: 64})
 
 	var wg sync.WaitGroup
+	written := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer close(written)
+		// Append does not settle; the settler below does.
 		for i := range ds.Jobs {
 			st.Append(ds.Jobs[i])
 			if ts := ds.Series[ds.Jobs[i].JobID]; ts != nil {
@@ -423,6 +493,51 @@ func TestSegStoreConcurrentAppendQuery(t *testing.T) {
 			}
 		}
 	}()
+	var midFold []*trace.SegView
+	// Until the settler below has taken its first snapshot mid-fold it is
+	// the only goroutine that settles, so it is sure to take one.
+	firstFold := make(chan struct{})
+	var firstOnce sync.Once
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer firstOnce.Do(func() { close(firstFold) })
+		for {
+			r := st.TakeSettle()
+			if r.Folds() > 0 {
+				v := st.Snapshot()
+				_ = v.Cols.RunMin.Sorted()
+				_ = v.Cols.GPUHours.Stats().Quantile(0.5)
+				midFold = append(midFold, v)
+				firstOnce.Do(func() { close(firstFold) })
+			}
+			st.FinishSettle(r)
+			select {
+			case <-written:
+				if r.Folds() == 0 {
+					return
+				}
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	for k := 0; k < 2; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-firstFold
+			for {
+				st.Settle()
+				select {
+				case <-written:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func() {
@@ -447,8 +562,32 @@ func TestSegStoreConcurrentAppendQuery(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	st.Settle()
 	if err := st.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	waiting, prefix := st.FoldBacklog()
+	for c := range waiting {
+		if trace.FoldRatio*waiting[c] > prefix[c] {
+			t.Errorf("settled store: column %d has %d sealed values waiting beside a %d-value prefix", c, waiting[c], prefix[c])
+		}
+	}
+	if len(midFold) == 0 {
+		t.Fatal("no snapshot was taken while a fold was in flight")
+	}
+	for _, v := range midFold {
+		for k, c := range floatColumns(v.Cols) {
+			want := make([]float64, 0, c.N())
+			for _, x := range c.Values() {
+				if !math.IsNaN(x) {
+					want = append(want, x)
+				}
+			}
+			sort.Float64s(want)
+			if !bitsEqual(want, c.Sorted()) {
+				t.Fatalf("view of %d jobs taken mid-fold: column %d sorts to other values than it holds", v.NJobs, k)
+			}
+		}
 	}
 	compareColumns(t, trace.BuildColumns(ds), st.Snapshot().Cols)
 }
