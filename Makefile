@@ -101,15 +101,18 @@ perfbench:
 # steady-state zero-allocation property, the end-to-end per-job allocation
 # budget of Simulate, BuildColumns' pinned allocation count (it runs once
 # per simulation replication), ReadJSON's per 1000-job ingest body (it
-# runs once per ingest batch and per replayed WAL batch), and the bytes one
+# runs once per ingest batch and per replayed WAL batch), the bytes one
 # serial /v1/figures query allocates after seals on a 90k-job store (a
 # query that merged the whole sealed prefix again would allocate a sorted
-# copy of every column). Skipped automatically under -race.
+# copy of every column), and the monitor sampler's allocations per job and
+# per sample (none per sample: a chunk buffer that escaped per job would
+# show). Skipped automatically under -race.
 alloc-guard:
 	$(GO) test ./internal/slurm -count=1 		-run 'TestCalQueueSteadyStateAllocFree|TestHeapSpecBoxesPerEvent|TestSimulatePerJobAllocBudget'
 	$(GO) test ./internal/trace -count=1 -run 'TestBuildColumnsAllocBudget|TestReadJSONAllocBudget'
 	$(GO) test ./internal/core -count=1 -run 'TestFoldFiguresAllocsIndependentOfJobs'
 	$(GO) test . -count=1 -run 'TestFiguresAfterSealsAllocBudget'
+	$(GO) test ./internal/monitor -count=1 -run 'TestMonitorRunAllocBudget'
 
 # Figure/experiment benchmarks: one `go test -bench` per paper table and
 # figure metric, plus the scheduler, streaming and durability benchmarks

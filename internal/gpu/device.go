@@ -146,13 +146,21 @@ type Utilization struct {
 // Clamp bounds every field into [0, 100] in place and returns the receiver
 // for chaining.
 func (u *Utilization) Clamp() *Utilization {
-	for _, f := range []*float64{&u.SMPct, &u.MemPct, &u.MemSizePct, &u.PCIeTxPct, &u.PCIeRxPct} {
-		if *f < 0 {
-			*f = 0
-		}
-		if *f > 100 {
-			*f = 100
-		}
-	}
+	u.SMPct = clampPct(u.SMPct)
+	u.MemPct = clampPct(u.MemPct)
+	u.MemSizePct = clampPct(u.MemSizePct)
+	u.PCIeTxPct = clampPct(u.PCIeTxPct)
+	u.PCIeRxPct = clampPct(u.PCIeRxPct)
 	return u
+}
+
+// clampPct bounds v into [0, 100]; NaN passes through.
+func clampPct(v float64) float64 {
+	if v < 0 {
+		return 0
+	}
+	if v > 100 {
+		return 100
+	}
+	return v
 }

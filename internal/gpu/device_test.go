@@ -120,6 +120,28 @@ func TestPowerModelMonotoneProperty(t *testing.T) {
 	}
 }
 
+// TestMeterMatchesWatts: a Meter returns what its model's Watts returns for
+// its spec, bit for bit, whether or not the model is the affine one.
+func TestMeterMatchesWatts(t *testing.T) {
+	spec := V100()
+	models := []PowerModel{DefaultPowerModel(), AffinePowerModel{WSM: 1, Gamma: 0}, LinearPowerModel{}}
+	f := func(sm, mem, size, tx, rx float64) bool {
+		u := Utilization{SMPct: math.Mod(sm, 150), MemPct: math.Mod(mem, 150), MemSizePct: size,
+			PCIeTxPct: math.Mod(tx, 150), PCIeRxPct: math.Mod(rx, 150)}
+		for _, pm := range models {
+			meter := NewMeter(pm, spec)
+			if math.Float64bits(meter.Watts(u)) != math.Float64bits(pm.Watts(spec, u)) {
+				t.Logf("%T at %+v: meter %v, model %v", pm, u, meter.Watts(u), pm.Watts(spec, u))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLinearPowerModel(t *testing.T) {
 	m := LinearPowerModel{}
 	spec := V100()
@@ -150,6 +172,48 @@ func TestUtilizationClamp(t *testing.T) {
 	u.Clamp()
 	if u.SMPct != 100 || u.MemPct != 0 || u.MemSizePct != 50 {
 		t.Fatalf("clamp failed: %+v", u)
+	}
+}
+
+// specClamp is Clamp as a loop over the fields, the form it had before it
+// was unrolled field by field.
+func specClamp(u *Utilization) {
+	for _, f := range []*float64{&u.SMPct, &u.MemPct, &u.MemSizePct, &u.PCIeTxPct, &u.PCIeRxPct} {
+		if *f < 0 {
+			*f = 0
+		}
+		if *f > 100 {
+			*f = 100
+		}
+	}
+}
+
+// TestUtilizationClampMatchesSpec holds Clamp to specClamp bit for bit,
+// signed zeros, infinities and NaN included.
+func TestUtilizationClampMatchesSpec(t *testing.T) {
+	vals := []float64{math.Copysign(0, -1), 0, -1e-300, 1e-300, 50, 99.999, 100, 100.5,
+		-7, 250, math.Inf(1), math.Inf(-1), math.NaN()}
+	n := len(vals)
+	for i := range vals {
+		for j := range vals {
+			u := Utilization{SMPct: vals[i], MemPct: vals[j], MemSizePct: vals[(i+j)%n],
+				PCIeTxPct: vals[(i*j)%n], PCIeRxPct: vals[(i+2*j)%n]}
+			checkClamp(t, u)
+		}
+	}
+}
+
+func checkClamp(t *testing.T, u Utilization) {
+	t.Helper()
+	want := u
+	specClamp(&want)
+	got := u
+	got.Clamp()
+	for _, f := range [][2]float64{{got.SMPct, want.SMPct}, {got.MemPct, want.MemPct},
+		{got.MemSizePct, want.MemSizePct}, {got.PCIeTxPct, want.PCIeTxPct}, {got.PCIeRxPct, want.PCIeRxPct}} {
+		if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+			t.Fatalf("Clamp(%+v) = %+v, spec %+v", u, got, want)
+		}
 	}
 }
 

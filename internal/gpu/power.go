@@ -35,6 +35,12 @@ func DefaultPowerModel() AffinePowerModel {
 
 // Watts implements PowerModel.
 func (m AffinePowerModel) Watts(spec Spec, u Utilization) float64 {
+	return m.watts(spec.IdleWatts, spec.TDPWatts-spec.IdleWatts, u)
+}
+
+// watts is Watts with the spec reduced to its idle floor and the span from
+// there to TDP.
+func (m AffinePowerModel) watts(idle, span float64, u Utilization) float64 {
 	load := m.WSM*u.SMPct/100 + m.WMem*u.MemPct/100 + m.WIO*(u.PCIeTxPct+u.PCIeRxPct)/200
 	if load > 1 {
 		load = 1
@@ -46,7 +52,34 @@ func (m AffinePowerModel) Watts(spec Spec, u Utilization) float64 {
 	if gamma <= 0 {
 		gamma = 1
 	}
-	return spec.IdleWatts + (spec.TDPWatts-spec.IdleWatts)*math.Pow(load, gamma)
+	return idle + span*math.Pow(load, gamma)
+}
+
+// Meter is a PowerModel bound to one device spec, for callers that evaluate
+// the same spec once a sample: for the affine model the spec's idle floor
+// and span are worked out once rather than the spec being passed per call.
+// Meter.Watts returns what the model's Watts returns, bit for bit.
+type Meter struct {
+	pm         PowerModel
+	spec       Spec
+	affine     AffinePowerModel
+	isAffine   bool
+	idle, span float64
+}
+
+// NewMeter binds pm to spec.
+func NewMeter(pm PowerModel, spec Spec) Meter {
+	m := Meter{pm: pm, spec: spec, idle: spec.IdleWatts, span: spec.TDPWatts - spec.IdleWatts}
+	m.affine, m.isAffine = pm.(AffinePowerModel)
+	return m
+}
+
+// Watts returns the power draw at utilization u.
+func (m *Meter) Watts(u Utilization) float64 {
+	if m.isAffine {
+		return m.affine.watts(m.idle, m.span, u)
+	}
+	return m.pm.Watts(m.spec, u)
 }
 
 // LinearPowerModel is the ablation alternative: P = TDP × sm/100, no idle

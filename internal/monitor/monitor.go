@@ -27,9 +27,10 @@ import (
 // Source is a samplable utilization trajectory; workload.Profile implements
 // it.
 type Source interface {
-	// SampleAt returns the observed utilization at tSec, drawing observation
-	// noise from rng.
-	SampleAt(tSec float64, rng *dist.RNG) gpu.Utilization
+	// SampleTimes fills out[i] with the observed utilization at ts[i] for
+	// every i < len(ts), drawing observation noise from rng; a batch draws
+	// what one call per time would. Callers pass ascending times.
+	SampleTimes(ts []float64, out []gpu.Utilization, rng *dist.RNG)
 	// TotalSec is the trajectory's duration.
 	TotalSec() float64
 }
@@ -76,6 +77,27 @@ func (c Config) Validate() error {
 // metrics plus a timestamp).
 const sampleBytes = 56
 
+// gridTime is the k-th time of a sampling grid with the given spacing: the
+// middle of the k-th interval.
+func gridTime(k int, interval float64) float64 { return (float64(k) + 0.5) * interval }
+
+// sampleChunk is how many grid times Run and PrefixDigest hand a Source at
+// once.
+const sampleChunk = 256
+
+// chunk is the scratch of one batch: the kept grid times, their
+// observations, and the fault-jitter normals drawn for them (two a sample).
+// A slice handed through the Source interface escapes, so a chunk on the
+// stack would be a heap allocation per job; the pool makes it one per
+// process instead.
+type chunk struct {
+	ts  [sampleChunk]float64
+	us  [sampleChunk]gpu.Utilization
+	jit [2 * sampleChunk]float64
+}
+
+var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
+
 // JobMonitor samples all GPUs of one job. It is created by Pipeline.Prolog
 // and finalized by Pipeline.Epilog.
 type JobMonitor struct {
@@ -83,13 +105,16 @@ type JobMonitor struct {
 	Node  int
 
 	cfg     Config
-	spec    gpu.Spec
-	pm      gpu.PowerModel
+	power   gpu.Meter
 	sources []Source
 	rng     *dist.RNG
 
 	acc    [][metrics.NumMetrics]stats.Streaming
 	series [][]metrics.Sample
+	// seriesInterval is the interval Series reports: the spacing of GPU 0's
+	// sampling grid (the configured cadence if the grid has one point),
+	// whatever samples faults dropped.
+	seriesInterval float64
 
 	// fault state (see faults.go), then the two run flags packed together so
 	// they share one padded word.
@@ -102,6 +127,13 @@ type JobMonitor struct {
 
 // Run executes the sampling loop over the job's full (simulated) duration.
 // It is idempotent; the epilog calls it if the prolog's owner did not.
+//
+// Each GPU's grid is walked a chunk at a time. The fault stream's draws (a
+// drop decision per grid time, then two jitter normals per kept sample) do
+// not depend on sample values, so they are made for the whole chunk first,
+// in the order a sample-by-sample loop makes them; one Source call then
+// observes the kept times, and the jitter, power model and accumulators
+// follow.
 func (m *JobMonitor) Run() {
 	if m.ran {
 		return
@@ -111,6 +143,11 @@ func (m *JobMonitor) Run() {
 		// Wedged collector: the job produces no telemetry at all.
 		return
 	}
+	c := chunkPool.Get().(*chunk)
+	defer chunkPool.Put(c)
+	dropRate := m.fault.DropRate
+	jf := m.fault.JitterFactor
+	extra := (jf - 1) * 0.05
 	for gi, src := range m.sources {
 		dur := src.TotalSec()
 		interval := m.cfg.GPUIntervalSec
@@ -123,32 +160,48 @@ func (m *JobMonitor) Run() {
 		if n < 1 {
 			n = 1
 		}
-		for k := 0; k < n; k++ {
-			t := (float64(k) + 0.5) * interval
-			if m.fault.DropRate > 0 && m.faultRNG.Bool(m.fault.DropRate) {
-				m.droppedSamples++
-				continue
+		if gi == 0 && n > 1 {
+			// The difference of the first two grid times, which can differ
+			// from interval in the last bit.
+			m.seriesInterval = gridTime(1, interval) - gridTime(0, interval)
+		}
+		acc := &m.acc[gi]
+		for k0 := 0; k0 < n; k0 += sampleChunk {
+			kept := 0
+			for k := k0; k < min(n, k0+sampleChunk); k++ {
+				if dropRate > 0 && m.faultRNG.Bool(dropRate) {
+					m.droppedSamples++
+					continue
+				}
+				c.ts[kept] = gridTime(k, interval)
+				if jf > 1 {
+					c.jit[2*kept] = m.faultRNG.NormFloat64()
+					c.jit[2*kept+1] = m.faultRNG.NormFloat64()
+				}
+				kept++
 			}
-			u := src.SampleAt(t, m.rng)
-			if jf := m.fault.JitterFactor; jf > 1 {
-				extra := (jf - 1) * 0.05
-				u.SMPct *= 1 + extra*m.faultRNG.NormFloat64()
-				u.MemPct *= 1 + extra*m.faultRNG.NormFloat64()
-				u.Clamp()
-			}
-			vals := [metrics.NumMetrics]float64{
-				metrics.SMUtil:  u.SMPct,
-				metrics.MemUtil: u.MemPct,
-				metrics.MemSize: u.MemSizePct,
-				metrics.PCIeTx:  u.PCIeTxPct,
-				metrics.PCIeRx:  u.PCIeRxPct,
-				metrics.Power:   m.pm.Watts(m.spec, u),
-			}
-			for mi := metrics.Metric(0); mi < metrics.NumMetrics; mi++ {
-				m.acc[gi][mi].Add(vals[mi])
-			}
-			if m.cfg.RetainSeries {
-				m.series[gi] = append(m.series[gi], metrics.Sample{TimeSec: t, Values: vals})
+			src.SampleTimes(c.ts[:kept], c.us[:kept], m.rng)
+			for j := range kept {
+				u := c.us[j]
+				if jf > 1 {
+					u.SMPct *= 1 + extra*c.jit[2*j]
+					u.MemPct *= 1 + extra*c.jit[2*j+1]
+					u.Clamp()
+				}
+				vals := [metrics.NumMetrics]float64{
+					metrics.SMUtil:  u.SMPct,
+					metrics.MemUtil: u.MemPct,
+					metrics.MemSize: u.MemSizePct,
+					metrics.PCIeTx:  u.PCIeTxPct,
+					metrics.PCIeRx:  u.PCIeRxPct,
+					metrics.Power:   m.power.Watts(u),
+				}
+				for mi := metrics.Metric(0); mi < metrics.NumMetrics; mi++ {
+					acc[mi].Add(vals[mi])
+				}
+				if m.cfg.RetainSeries {
+					m.series[gi] = append(m.series[gi], metrics.Sample{TimeSec: c.ts[j], Values: vals})
+				}
 			}
 		}
 	}
@@ -176,11 +229,7 @@ func (m *JobMonitor) Series() *trace.TimeSeries {
 	if !m.cfg.RetainSeries || len(m.series) == 0 {
 		return nil
 	}
-	interval := m.cfg.GPUIntervalSec
-	if len(m.series[0]) > 1 {
-		interval = m.series[0][1].TimeSec - m.series[0][0].TimeSec
-	}
-	return &trace.TimeSeries{JobID: m.JobID, IntervalSec: interval, PerGPU: m.series}
+	return &trace.TimeSeries{JobID: m.JobID, IntervalSec: m.seriesInterval, PerGPU: m.series}
 }
 
 // storedBytes returns the buffer accounting size of this monitor's data.
@@ -253,11 +302,12 @@ func (p *Pipeline) Prolog(jobID int64, node int, spec gpu.Spec, pm gpu.PowerMode
 		JobID:   jobID,
 		Node:    node,
 		cfg:     cfg,
-		spec:    spec,
-		pm:      pm,
+		power:   gpu.NewMeter(pm, spec),
 		sources: sources,
 		rng:     dist.New(p.seed ^ uint64(jobID)*0x9E3779B97F4A7C15),
 		acc:     make([][metrics.NumMetrics]stats.Streaming, len(sources)),
+
+		seriesInterval: cfg.GPUIntervalSec,
 	}
 	if cfg.RetainSeries {
 		m.series = make([][]metrics.Sample, len(sources))

@@ -60,15 +60,22 @@ func (d *PrefixDigest) Accumulate(src Source, k int, intervalSec float64, rng *d
 	if n > k {
 		n = k
 	}
-	for i := 0; i < n; i++ {
-		t := (float64(i) + 0.5) * intervalSec
-		u := src.SampleAt(t, rng)
-		d.Samples++
-		d.smSum += u.SMPct
-		d.memSum += u.MemPct
-		d.memSizeSum += u.MemSizePct
-		if u.SMPct > ActiveSMThresholdPct {
-			d.active++
+	c := chunkPool.Get().(*chunk)
+	defer chunkPool.Put(c)
+	for k0 := 0; k0 < n; k0 += sampleChunk {
+		ts := c.ts[:min(n-k0, sampleChunk)]
+		for j := range ts {
+			ts[j] = gridTime(k0+j, intervalSec)
+		}
+		src.SampleTimes(ts, c.us[:len(ts)], rng)
+		for _, u := range c.us[:len(ts)] {
+			d.Samples++
+			d.smSum += u.SMPct
+			d.memSum += u.MemPct
+			d.memSizeSum += u.MemSizePct
+			if u.SMPct > ActiveSMThresholdPct {
+				d.active++
+			}
 		}
 	}
 }

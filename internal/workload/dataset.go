@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/dist"
+	"repro/internal/gpu"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -112,6 +113,10 @@ func (g *Generator) attachSeries(ds *trace.Dataset, specs []JobSpec) {
 	}
 }
 
+// seriesChunk is how many grid times SampleSeries hands Profile.SampleTimes
+// at once.
+const seriesChunk = 256
+
 // SampleSeries runs the sampler over every GPU of one job, producing its
 // detailed time series. The cadence is the configured interval, stretched
 // when the job would otherwise exceed MaxSeriesSamples.
@@ -128,21 +133,29 @@ func (g *Generator) SampleSeries(s *JobSpec) *trace.TimeSeries {
 	if n < 1 {
 		n = 1
 	}
+	power := gpu.NewMeter(g.cfg.PowerModel, g.cfg.GPUSpec)
+	var times [seriesChunk]float64
+	var obs [seriesChunk]gpu.Utilization
 	for _, p := range s.Profiles {
 		stream := make([]metrics.Sample, n)
-		for k := 0; k < n; k++ {
-			t := (float64(k) + 0.5) * interval
-			u := p.SampleAt(t, rng)
-			stream[k] = metrics.Sample{
-				TimeSec: t,
-				Values: [metrics.NumMetrics]float64{
-					metrics.SMUtil:  u.SMPct,
-					metrics.MemUtil: u.MemPct,
-					metrics.MemSize: u.MemSizePct,
-					metrics.PCIeTx:  u.PCIeTxPct,
-					metrics.PCIeRx:  u.PCIeRxPct,
-					metrics.Power:   g.cfg.PowerModel.Watts(g.cfg.GPUSpec, u),
-				},
+		for k0 := 0; k0 < n; k0 += seriesChunk {
+			chunk := stream[k0:min(n, k0+seriesChunk)]
+			for j := range chunk {
+				times[j] = (float64(k0+j) + 0.5) * interval
+			}
+			p.SampleTimes(times[:len(chunk)], obs[:], rng)
+			for j, u := range obs[:len(chunk)] {
+				chunk[j] = metrics.Sample{
+					TimeSec: times[j],
+					Values: [metrics.NumMetrics]float64{
+						metrics.SMUtil:  u.SMPct,
+						metrics.MemUtil: u.MemPct,
+						metrics.MemSize: u.MemSizePct,
+						metrics.PCIeTx:  u.PCIeTxPct,
+						metrics.PCIeRx:  u.PCIeRxPct,
+						metrics.Power:   power.Watts(u),
+					},
+				}
 			}
 		}
 		ts.PerGPU = append(ts.PerGPU, stream)

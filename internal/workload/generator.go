@@ -403,6 +403,7 @@ func (g *Generator) gpuJob(u *User, rng *dist.RNG) JobSpec {
 		idleGPUs = lo + rng.Intn(spec.NumGPUs-lo)
 	}
 	cycles := clampF(spec.RunSec/c.MeanCycleSec, 1, float64(c.MaxCycles))
+	spec.Profiles = make([]*Profile, 0, spec.NumGPUs)
 	for gi := 0; gi < spec.NumGPUs; gi++ {
 		if gi >= spec.NumGPUs-idleGPUs {
 			spec.Profiles = append(spec.Profiles, IdleProfile(spec.RunSec, 0.5+1.5*rng.Float64()))

@@ -55,12 +55,15 @@ type Profile struct {
 }
 
 // NewProfile builds a profile from phases. Phases with non-positive duration
-// are rejected: they would make time lookup ambiguous.
+// are rejected: they would make time lookup ambiguous. The profile keeps
+// phases rather than a copy (the generator hands over a freshly synthesized
+// slice a GPU, and a copy would only be garbage), so the caller must not
+// modify it afterwards.
 func NewProfile(phases []Phase, noisePct float64) (*Profile, error) {
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("workload: profile needs at least one phase")
 	}
-	p := &Profile{phases: append([]Phase(nil), phases...), noisePct: noisePct}
+	p := &Profile{phases: phases, noisePct: noisePct, cum: make([]float64, 0, len(phases))}
 	var t float64
 	for i, ph := range p.phases {
 		if ph.DurSec <= 0 {
@@ -112,6 +115,11 @@ func (p *Profile) phaseAt(t float64) (Phase, float64) {
 // analytic summary agree on.
 func (p *Profile) LevelAt(t float64) gpu.Utilization {
 	ph, off := p.phaseAt(t)
+	return ph.levelAt(off)
+}
+
+// levelAt returns the phase's noiseless utilization off seconds into it.
+func (ph *Phase) levelAt(off float64) gpu.Utilization {
 	u := ph.Level
 	if !ph.Active {
 		u.SMPct, u.MemPct = 0, 0
@@ -130,30 +138,63 @@ func (p *Profile) LevelAt(t float64) gpu.Utilization {
 	return u
 }
 
-// SampleAt returns the observed utilization at time t: the level plus
-// relative Gaussian sampling noise drawn from rng (noisePct is the noise
-// stddev as a percentage of the current level, so quiet metrics stay quiet
-// in proportion). Idle phases are observed noiselessly for the compute
-// metrics — an idle GPU reads exactly 0 in nvidia-smi — which is what makes
-// the paper's phase segmentation of real traces possible.
-func (p *Profile) SampleAt(t float64, rng *dist.RNG) gpu.Utilization {
-	u := p.LevelAt(t)
-	if p.noisePct > 0 {
-		rel := p.noisePct / 100
-		jitter := func(v float64) float64 {
-			if v <= 0 || v >= 100 {
-				return v
-			}
-			return v * (1 + rel*rng.NormFloat64())
+// SampleTimes fills out[i] with the observed utilization at time ts[i], for
+// every i < len(ts): the level plus relative Gaussian sampling noise drawn
+// from rng (noisePct is the noise stddev as a percentage of the current
+// level, so quiet metrics stay quiet in proportion). Idle phases are observed
+// noiselessly for the compute metrics — an idle GPU reads exactly 0 in
+// nvidia-smi — which is what makes the paper's phase segmentation of real
+// traces possible. out must hold at least len(ts) entries.
+//
+// Each sample draws from rng in the order SM, Mem, MemSize, PCIeTx, PCIeRx,
+// so a batch draws what one call per time would. Times are clamped to the
+// profile span as LevelAt clamps them. Ascending times walk the phases with
+// a cursor, one binary search a call; a time below its predecessor (or
+// after a NaN) searches again.
+func (p *Profile) SampleTimes(ts []float64, out []gpu.Utilization, rng *dist.RNG) {
+	out = out[:len(ts)]
+	total := p.TotalSec()
+	last := len(p.phases) - 1
+	rel := p.noisePct / 100
+	i, prev := 0, 0.0
+	for j, t := range ts {
+		if t < 0 {
+			t = 0
 		}
-		u.SMPct = jitter(u.SMPct)
-		u.MemPct = jitter(u.MemPct)
-		u.MemSizePct = u.MemSizePct * (1 + 0.3*rel*rng.NormFloat64())
-		u.PCIeTxPct = jitter(u.PCIeTxPct)
-		u.PCIeRxPct = jitter(u.PCIeRxPct)
+		if t >= total {
+			t = total - 1e-9
+		}
+		if j == 0 || !(t >= prev) {
+			i = min(sort.SearchFloat64s(p.cum, t), last)
+		}
+		for i < last && !(p.cum[i] >= t) {
+			i++
+		}
+		prev = t
+		start := 0.0
+		if i > 0 {
+			start = p.cum[i-1]
+		}
+		u := p.phases[i].levelAt(t - start)
+		if p.noisePct > 0 {
+			u.SMPct = jitterPct(u.SMPct, rel, rng)
+			u.MemPct = jitterPct(u.MemPct, rel, rng)
+			u.MemSizePct = u.MemSizePct * (1 + 0.3*rel*rng.NormFloat64())
+			u.PCIeTxPct = jitterPct(u.PCIeTxPct, rel, rng)
+			u.PCIeRxPct = jitterPct(u.PCIeRxPct, rel, rng)
+		}
+		u.Clamp()
+		out[j] = u
 	}
-	u.Clamp()
-	return u
+}
+
+// jitterPct applies relative noise to a level strictly inside (0, 100);
+// an idle or saturated level is observed exactly.
+func jitterPct(v, rel float64, rng *dist.RNG) float64 {
+	if v <= 0 || v >= 100 {
+		return v
+	}
+	return v * (1 + rel*rng.NormFloat64())
 }
 
 // Summaries computes the per-metric min/mean/max digest of the profile
@@ -267,8 +308,8 @@ func SynthesizePhases(p PhaseParams, rng *dist.RNG) []Phase {
 	activeTotal := af * p.DurSec
 	idleTotal := p.DurSec - activeTotal
 	// Draw raw interval lengths, then scale each family to its exact budget.
-	actRaw := make([]float64, cycles)
-	idlRaw := make([]float64, cycles)
+	raw := make([]float64, 2*cycles)
+	actRaw, idlRaw := raw[:cycles], raw[cycles:]
 	var actSum, idlSum float64
 	for i := 0; i < cycles; i++ {
 		actRaw[i] = math.Exp(p.SigmaActive * rng.NormFloat64())
@@ -276,7 +317,17 @@ func SynthesizePhases(p PhaseParams, rng *dist.RNG) []Phase {
 		actSum += actRaw[i]
 		idlSum += idlRaw[i]
 	}
-	var phases []Phase
+	// One idle and one active phase a cycle where each family has a budget
+	// (a phase's duration underflowing to zero is not seen in practice), so
+	// the profile that keeps this slice carries no spare capacity.
+	n := 0
+	if idleTotal > 0 && idlSum > 0 {
+		n += cycles
+	}
+	if activeTotal > 0 && actSum > 0 {
+		n += cycles
+	}
+	phases := make([]Phase, 0, n)
 	// Spread bursts over up to three distinct active phases.
 	burstAt := -1
 	if p.SMBurst || p.TxBurst || p.RxBurst {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -17,6 +18,30 @@ func mustProfile(t *testing.T, phases []Phase, noise float64) *Profile {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// SampleAt returns the observed utilization at time t: the level plus
+// relative Gaussian sampling noise drawn from rng. It is the executable spec
+// of SampleTimes, which must match it bit for bit, one call per time, draws
+// from rng included (TestSampleTimesMatchesSampleAt).
+func (p *Profile) SampleAt(t float64, rng *dist.RNG) gpu.Utilization {
+	u := p.LevelAt(t)
+	if p.noisePct > 0 {
+		rel := p.noisePct / 100
+		jitter := func(v float64) float64 {
+			if v <= 0 || v >= 100 {
+				return v
+			}
+			return v * (1 + rel*rng.NormFloat64())
+		}
+		u.SMPct = jitter(u.SMPct)
+		u.MemPct = jitter(u.MemPct)
+		u.MemSizePct = u.MemSizePct * (1 + 0.3*rel*rng.NormFloat64())
+		u.PCIeTxPct = jitter(u.PCIeTxPct)
+		u.PCIeRxPct = jitter(u.PCIeRxPct)
+	}
+	u.Clamp()
+	return u
 }
 
 func twoPhase(t *testing.T) *Profile {
@@ -221,6 +246,9 @@ func TestSynthesizeProperty(t *testing.T) {
 			SigmaActive: 1.3, SigmaIdle: 1.0, LevelJitter: 0.2,
 			Level: gpu.Utilization{SMPct: 35, MemPct: 5, MemSizePct: 12},
 		}, dist.New(seed))
+		if cap(phases) != len(phases) {
+			return false // the profile keeps the slice: no spare capacity
+		}
 		p, err := NewProfile(phases, 0)
 		if err != nil {
 			return false
@@ -232,5 +260,123 @@ func TestSynthesizeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// randomProfile draws a profile covering what SampleTimes' phase cursor must
+// get right: idle and active phases, burst windows, saturated and zero
+// levels, no noise, phases too short to move the running end time (equal
+// cum entries) or shorter than a nanosecond, and totals so large that
+// TotalSec()-1e-9 == TotalSec().
+func randomProfile(t *testing.T, rng *dist.RNG) *Profile {
+	t.Helper()
+	scale := []float64{1, 60, 3600, 3e7}[rng.Intn(4)]
+	phases := make([]Phase, 1+rng.Intn(12))
+	pct := func() float64 {
+		switch v := rng.Float64(); {
+		case v < 0.1:
+			return 0
+		case v < 0.2:
+			return 100
+		default:
+			return 100 * rng.Float64()
+		}
+	}
+	for i := range phases {
+		dur := scale * (0.01 + rng.Float64())
+		switch v := rng.Float64(); {
+		case i > 0 && v < 0.1:
+			dur = scale * 1e-18 // does not move cum: equal entries
+		case v > 0.9:
+			dur = 5e-10 // shorter than SampleAt's 1e-9 back-off from the end
+		}
+		phases[i] = Phase{
+			DurSec:  dur,
+			Active:  rng.Bool(0.6),
+			Level:   gpu.Utilization{SMPct: pct(), MemPct: pct(), MemSizePct: pct(), PCIeTxPct: pct(), PCIeRxPct: pct()},
+			SMBurst: rng.Bool(0.3), TxBurst: rng.Bool(0.3), RxBurst: rng.Bool(0.3),
+		}
+	}
+	noise := 0.0
+	if rng.Bool(0.8) {
+		noise = 40 * rng.Float64()
+	}
+	return mustProfile(t, phases, noise)
+}
+
+// randomTimes draws ascending sample times over p: a grid with gaps (dropped
+// samples) that may overrun the profile's end, plus the phase boundaries
+// themselves, times before the start and at or past the end, and a NaN.
+func randomTimes(p *Profile, rng *dist.RNG) []float64 {
+	total := p.TotalSec()
+	n := 1 + rng.Intn(900)
+	iv := total * (0.5 + rng.Float64()) / float64(n)
+	ts := []float64{math.NaN(), -1, 0, total, total + 1}
+	ts = append(ts, p.cum...)
+	for k := 0; k < n; k++ {
+		if !rng.Bool(0.2) {
+			ts = append(ts, (float64(k)+0.5)*iv)
+		}
+	}
+	sort.Float64s(ts)
+	return ts
+}
+
+// sampleBits flattens a sample to the bits of its five fields.
+func sampleBits(u gpu.Utilization) [5]uint64 {
+	return [5]uint64{math.Float64bits(u.SMPct), math.Float64bits(u.MemPct), math.Float64bits(u.MemSizePct),
+		math.Float64bits(u.PCIeTxPct), math.Float64bits(u.PCIeRxPct)}
+}
+
+// TestSampleTimesMatchesSampleAt holds SampleTimes to its spec, SampleAt
+// called once per time, bit for bit over seeded random profiles: the same
+// observations and the same draws from rng, for batches that cut the times
+// anywhere, ascending or not.
+func TestSampleTimesMatchesSampleAt(t *testing.T) {
+	gen := dist.New(2024)
+	huge, ties := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		p := randomProfile(t, gen)
+		if p.TotalSec()-1e-9 == p.TotalSec() {
+			huge++
+		}
+		for i := 1; i < len(p.cum); i++ {
+			if p.cum[i] == p.cum[i-1] {
+				ties++
+				break
+			}
+		}
+		ts := randomTimes(p, gen)
+		if trial%4 == 3 {
+			for i := len(ts) - 1; i > 0; i-- {
+				j := gen.Intn(i + 1)
+				ts[i], ts[j] = ts[j], ts[i]
+			}
+		}
+		seed := gen.Uint64()
+		spec := dist.New(seed)
+		want := make([]gpu.Utilization, len(ts))
+		for i, tm := range ts {
+			want[i] = p.SampleAt(tm, spec)
+		}
+		for _, batch := range []int{1, 7, 256, len(ts)} {
+			rng := dist.New(seed)
+			got := make([]gpu.Utilization, len(ts))
+			for i := 0; i < len(ts); i += batch {
+				end := min(i+batch, len(ts))
+				p.SampleTimes(ts[i:end], got[i:end], rng)
+			}
+			for i := range ts {
+				if sampleBits(got[i]) != sampleBits(want[i]) {
+					t.Fatalf("trial %d batch %d: t=%v sampled %+v, spec %+v", trial, batch, ts[i], got[i], want[i])
+				}
+			}
+			if *rng != *spec {
+				t.Fatalf("trial %d batch %d: rng state differs from the spec's after the batch", trial, batch)
+			}
+		}
+	}
+	if huge == 0 || ties == 0 {
+		t.Fatalf("%d profiles with TotalSec()-1e-9 == TotalSec() and %d with equal cum entries; want some of each", huge, ties)
 	}
 }
